@@ -2,8 +2,6 @@
 
 from .core import (
     EigentripleSet,
-    Eigentriple,
-    LeadingTriples,
     as_series,
     center,
     decompose,
@@ -48,7 +46,6 @@ from .forecast import (
     recurrent_forecast,
 )
 from .signals import (
-    NoiseSpec,
     SignalSpec,
     exact_basis,
     exact_rank,
@@ -79,7 +76,6 @@ from .subspace import (
     SubspaceBasis,
     noise_complement,
     projector,
-    projector_distance,
     signal_basis,
     subspace_distance,
 )

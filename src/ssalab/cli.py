@@ -9,7 +9,6 @@ diagnostic naming the violated precondition.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -228,24 +227,23 @@ def cmd_simulate(args) -> None:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.config}: invalid JSON: {exc}") from exc
+    if isinstance(doc, dict):  # flag overrides go through the same validation
+        doc.update({k: v for k, v in (("seed", args.seed), ("reps", args.reps)) if v is not None})
     try:
         config = ExperimentConfig.from_dict(doc)
+        workers = pool_size()
     except SsaError as exc:
         raise ParseError(str(exc)) from exc
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.reps is not None:
-        config = dataclasses.replace(config, reps=args.reps)
     base = args.output or config.output
     if not base:
         raise ParseError("simulate needs an output base path (--output or config 'output')")
     if args.verbose:
         print(
             f"simulate: kind={config.spec.kind} n={config.spec.n} reps={config.reps}"
-            f" functional={config.functional} workers={pool_size()}",
+            f" functional={config.functional} workers={workers}",
             file=sys.stderr,
         )
-    surf = run_experiment(config)
+    surf = run_experiment(config, threads=workers)
     sio.write_error_surface_csv(str(base) + ".csv", surf)
     sio.write_error_surface_json(str(base) + ".json", surf)
 

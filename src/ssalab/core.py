@@ -41,29 +41,25 @@ def as_series(values) -> np.ndarray:
     return f
 
 
+def _check_window(n: int, L: int) -> None:
+    if not 2 <= L <= n - 1:
+        raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
+
+
 def embed(series, L: int) -> np.ndarray:
     """Build the L x K trajectory (Hankel) matrix of lagged windows."""
     f = as_series(series)
-    n = f.size
-    if not 2 <= L <= n - 1:
-        raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
+    _check_window(f.size, L)
     return hankel(f[:L], f[L - 1:])
-
-
-@dataclass(frozen=True)
-class Eigentriple:
-    """One (singular value, left vector, right vector) term of a decomposition."""
-
-    sigma: float
-    u: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
 class EigentripleSet:
     """Ordered eigentriples with their provenance.
 
-    For method "basic" these are the SVD triples of the trajectory matrix.
+    For method "basic" these are the SVD triples of the trajectory matrix:
+    every retained one from `decompose`, the leading block from
+    `leading_triples`.
     For method "toeplitz" the u_i are orthonormal eigenvectors of the lag
     autocovariance matrix, sigma_i = ||X^T u_i|| and v_i = X^T u_i / sigma_i;
     that is not an SVD and the v_i need not be orthogonal.
@@ -79,13 +75,6 @@ class EigentripleSet:
     @property
     def count(self) -> int:
         return int(self.sigmas.size)
-
-    @property
-    def triples(self) -> list[Eigentriple]:
-        return [
-            Eigentriple(float(self.sigmas[i]), self.u[:, i], self.v[:, i])
-            for i in range(self.count)
-        ]
 
 
 def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
@@ -123,8 +112,7 @@ def lag_covariance_matrix(series, L: int) -> np.ndarray:
     """Toeplitz matrix of averaged lag products, entry(i,j) depending on |i-j|."""
     f = as_series(series)
     n = f.size
-    if not 2 <= L <= n - 1:
-        raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
+    _check_window(n, L)
     # full correlation gives sum_m f_m f_{m+k} at offset N-1+k
     acov = np.correlate(f, f, mode="full")[n - 1:n - 1 + L]
     first_row = acov / (n - np.arange(L))
@@ -246,18 +234,7 @@ def _corr(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     return fftconvolve(f, v[::-1], mode="valid")
 
 
-@dataclass(frozen=True)
-class LeadingTriples:
-    """Leading block of a basic decomposition (sigmas nonincreasing)."""
-
-    sigmas: np.ndarray  # (r,)
-    u: np.ndarray  # (L, r)
-    v: np.ndarray  # (K, r)
-    L: int
-    K: int
-
-
-def leading_triples(series, L: int, rank: int) -> LeadingTriples:
+def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     """Leading `rank` eigentriples of the basic decomposition of a series.
 
     Equivalent to decompose(embed(series, L)) truncated to `rank` terms, but
@@ -265,8 +242,7 @@ def leading_triples(series, L: int, rank: int) -> LeadingTriples:
     """
     f = as_series(series)
     n = f.size
-    if not 2 <= L <= n - 1:
-        raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
+    _check_window(n, L)
     K = n - L + 1
     rank = int(rank)
     if rank < 1:
@@ -311,19 +287,17 @@ def leading_triples(series, L: int, rank: int) -> LeadingTriples:
     U_out = np.ascontiguousarray(U_out)
     V_out = np.ascontiguousarray(V_out)
     _fix_signs(U_out, V_out)
-    return LeadingTriples(sigmas=sig, u=U_out, v=V_out, L=L, K=K)
+    return EigentripleSet(sigmas=sig, u=U_out, v=V_out, method="basic", L=L, K=K)
 
 
-def rank_reconstruction(t: LeadingTriples, indices=None) -> np.ndarray:
-    """Diagonal-averaged series from a leading-triples block.
+def rank_reconstruction(t: EigentripleSet, indices=None) -> np.ndarray:
+    """Diagonal-averaged series of the selected triples, one convolution each.
 
-    `indices` selects triples (1-based) within the block; default is all.
+    `indices` selects triples (1-based) as in `group_matrix`; default is all.
     """
     counts = diagonal_counts(t.L, t.K)
     total = np.zeros(t.L + t.K - 1)
-    cols = range(t.sigmas.size) if indices is None else [int(i) - 1 for i in indices]
+    cols = range(t.count) if indices is None else _check_indices(t, indices) - 1
     for i in cols:
-        if not 0 <= i < t.sigmas.size:
-            raise IndexOutOfRange(f"triple index {i + 1} outside 1..{t.sigmas.size}")
         total += t.sigmas[i] * fftconvolve(t.u[:, i], t.v[:, i])
     return total / counts

@@ -18,7 +18,7 @@ class DecompositionFailed(SsaError):
 
 
 class IndexOutOfRange(SsaError):
-    """Eigentriple index outside the retained set."""
+    """Index outside the retained eigentriples."""
 
 
 class ZeroResidual(SsaError):

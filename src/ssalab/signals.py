@@ -1,8 +1,9 @@
 """Catalog of benchmark signals and residual generators.
 
-Each catalog kind bundles a closed-form signal with the residual recipe used
-in the error studies; `gen_series` returns the two parts separately so error
-functionals always know the truth. Exponential damping is written through
+Each catalog kind is one row of `_CATALOG`: a closed-form signal, the
+residual recipe used in the error studies, the residual's noise family, and
+the signal's rank and poles. `gen_series` returns signal and residual
+separately so error functionals always know the truth. Exponential damping is written through
 the base b (s_n contains b^n), white noise has standard deviation sigma, and
 red noise is the stationary AR(1) process with coefficient alpha and unit
 variance before scaling by sigma.
@@ -21,47 +22,6 @@ from .core import decompose, embed
 from .errors import InvalidSpec
 from .forecast import PoleSet
 from .subspace import SubspaceBasis, signal_basis
-
-CATALOG_KINDS = (
-    "const_saw",
-    "damped_cos_const",
-    "damped_cos_wn",
-    "damped_cos_mix",
-    "damped_cos_rn",
-    "two_cos",
-    "chirp_am",
-    "chirp_trend_mix",
-    "exp_trend",
-    "custom",
-)
-
-_WHITE_KINDS = {
-    "damped_cos_wn",
-    "damped_cos_mix",
-    "two_cos",
-    "chirp_am",
-    "chirp_trend_mix",
-    "exp_trend",
-    "custom",
-}
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Stochastic residual description: white or stationary AR(1) ("red")."""
-
-    kind: str = "white"
-    sigma: float = 0.1
-    alpha: float = 0.5
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("white", "red"):
-            raise InvalidSpec(f"noise kind must be 'white' or 'red', got {self.kind!r}")
-        if self.sigma < 0:
-            raise InvalidSpec(f"noise sigma must be >= 0, got {self.sigma}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidSpec(f"AR(1) alpha must lie in [0, 1), got {self.alpha}")
 
 
 def white_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -91,7 +51,7 @@ class SignalSpec:
     custom_poles: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in CATALOG_KINDS:
+        if self.kind not in _CATALOG:
             raise InvalidSpec(f"unknown signal kind {self.kind!r}")
         if self.n < 3:
             raise InvalidSpec(f"series length must be >= 3, got {self.n}")
@@ -104,49 +64,126 @@ class SignalSpec:
         if self.kind == "custom" and self.custom_signal is None:
             raise InvalidSpec("custom kind needs a custom_signal callable")
 
+    @property
+    def noise_family(self) -> Optional[str]:
+        """The kind's residual family: "white", "red", or None if deterministic."""
+        return _CATALOG[self.kind].noise
+
+
+def _damped_cos(spec, n):
+    return spec.b**n * np.cos(2.0 * np.pi * n / 10.0)
+
+
+def _damped_cos_poles(spec):
+    z = spec.b * np.exp(2j * np.pi / 10.0)
+    return np.array([z, z.conjugate()])
+
+
+def _two_cos_poles(spec):
+    z1 = np.exp(2j * np.pi / 19.0)
+    z2 = np.exp(2j * np.pi / 21.0)
+    return np.array([z1, z1.conjugate(), z2, z2.conjugate()])
+
+
+def _white(spec, rng, n):
+    return spec.sigma * white_noise(rng, spec.n)
+
+
+def _no_poles(spec):
+    return None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One catalog row. `n` is the float array of sample indices."""
+
+    signal: Callable  # (spec, n) -> signal values at n
+    residual: Callable  # (spec, rng, n) -> residual draw at 0..spec.n-1
+    noise: Optional[str]  # "white", "red", or None for a deterministic residual
+    rank: Callable  # spec -> trajectory-space dimension, None if unbounded
+    poles: Callable  # spec -> characteristic roots, None for infinite rank
+
+
+_CATALOG = {
+    "const_saw": _Kind(
+        lambda spec, n: np.ones_like(n),
+        lambda spec, rng, n: -spec.c * (-1.0) ** n,
+        None,
+        lambda spec: 1,
+        lambda spec: np.array([1.0 + 0.0j]),
+    ),
+    "damped_cos_const": _Kind(
+        _damped_cos,
+        lambda spec, rng, n: np.full(spec.n, spec.c),
+        None,
+        lambda spec: 2,
+        _damped_cos_poles,
+    ),
+    "damped_cos_wn": _Kind(_damped_cos, _white, "white", lambda spec: 2, _damped_cos_poles),
+    "damped_cos_mix": _Kind(
+        _damped_cos,
+        lambda spec, rng, n: (spec.sigma * white_noise(rng, spec.n) + spec.c) / np.sqrt(2.0),
+        "white",
+        lambda spec: 2,
+        _damped_cos_poles,
+    ),
+    "damped_cos_rn": _Kind(
+        _damped_cos,
+        lambda spec, rng, n: spec.sigma * red_noise(rng, spec.n, spec.alpha),
+        "red",
+        lambda spec: 2,
+        _damped_cos_poles,
+    ),
+    "two_cos": _Kind(
+        lambda spec, n: np.cos(2.0 * np.pi * n / 19.0) + np.cos(2.0 * np.pi * n / 21.0),
+        _white,
+        "white",
+        lambda spec: 4,
+        _two_cos_poles,
+    ),
+    "chirp_am": _Kind(
+        lambda spec, n: np.cos(2.0 * np.pi * n**2 / 1e5) * np.cos(2.0 * np.pi * n / 20.0),
+        _white,
+        "white",
+        lambda spec: None,
+        _no_poles,
+    ),
+    "chirp_trend_mix": _Kind(
+        lambda spec, n: np.cos(2.0 * np.pi * n**2 / 1e5),
+        lambda spec, rng, n: spec.sigma * white_noise(rng, spec.n)
+        + spec.c * np.cos(2.0 * np.pi * n / 10.0),
+        "white",
+        lambda spec: None,
+        _no_poles,
+    ),
+    "exp_trend": _Kind(
+        lambda spec, n: spec.b**n,
+        _white,
+        "white",
+        lambda spec: 1,
+        lambda spec: np.array([spec.b + 0.0j]),
+    ),
+    "custom": _Kind(
+        lambda spec, n: np.asarray(spec.custom_signal(n), dtype=float),
+        _white,
+        "white",
+        lambda spec: spec.custom_rank,
+        lambda spec: None
+        if spec.custom_poles is None
+        else np.asarray(spec.custom_poles, dtype=complex),
+    ),
+}
+
 
 def signal_values(spec: SignalSpec, indices=None) -> np.ndarray:
     """Closed-form signal values at the given sample indices (default 0..n-1)."""
     n = np.arange(spec.n, dtype=float) if indices is None else np.asarray(indices, dtype=float)
-    kind = spec.kind
-    if kind == "const_saw":
-        return np.ones_like(n)
-    if kind in ("damped_cos_const", "damped_cos_wn", "damped_cos_mix", "damped_cos_rn"):
-        return spec.b**n * np.cos(2.0 * np.pi * n / 10.0)
-    if kind == "two_cos":
-        return np.cos(2.0 * np.pi * n / 19.0) + np.cos(2.0 * np.pi * n / 21.0)
-    if kind == "chirp_am":
-        return np.cos(2.0 * np.pi * n**2 / 1e5) * np.cos(2.0 * np.pi * n / 20.0)
-    if kind == "chirp_trend_mix":
-        return np.cos(2.0 * np.pi * n**2 / 1e5)
-    if kind == "exp_trend":
-        return spec.b**n
-    if kind == "custom":
-        return np.asarray(spec.custom_signal(n), dtype=float)
-    raise InvalidSpec(f"unknown signal kind {kind!r}")
+    return _CATALOG[spec.kind].signal(spec, n)
 
 
 def residual_values(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
     """Residual draw matching the kind's recipe (deterministic kinds ignore rng)."""
-    n = np.arange(spec.n, dtype=float)
-    kind = spec.kind
-    if kind == "const_saw":
-        return -spec.c * (-1.0) ** n
-    if kind == "damped_cos_const":
-        return np.full(spec.n, spec.c)
-    if kind == "damped_cos_wn":
-        return spec.sigma * white_noise(rng, spec.n)
-    if kind == "damped_cos_mix":
-        return (spec.sigma * white_noise(rng, spec.n) + spec.c) / np.sqrt(2.0)
-    if kind == "damped_cos_rn":
-        return spec.sigma * red_noise(rng, spec.n, spec.alpha)
-    if kind == "chirp_trend_mix":
-        return spec.sigma * white_noise(rng, spec.n) + spec.c * np.cos(
-            2.0 * np.pi * n / 10.0
-        )
-    if kind in _WHITE_KINDS:
-        return spec.sigma * white_noise(rng, spec.n)
-    raise InvalidSpec(f"unknown signal kind {kind!r}")
+    return _CATALOG[spec.kind].residual(spec, rng, np.arange(spec.n, dtype=float))
 
 
 def gen_series(spec: SignalSpec, rng=None) -> tuple[np.ndarray, np.ndarray]:
@@ -158,37 +195,13 @@ def gen_series(spec: SignalSpec, rng=None) -> tuple[np.ndarray, np.ndarray]:
 
 def exact_rank(spec: SignalSpec) -> Optional[int]:
     """Trajectory-space dimension of the noise-free signal, None if unbounded."""
-    kind = spec.kind
-    if kind == "const_saw":
-        return 1
-    if kind.startswith("damped_cos"):
-        return 2
-    if kind == "two_cos":
-        return 4
-    if kind == "exp_trend":
-        return 1
-    if kind == "custom":
-        return spec.custom_rank
-    return None
+    return _CATALOG[spec.kind].rank(spec)
 
 
 def true_poles(spec: SignalSpec) -> Optional[PoleSet]:
     """Exact characteristic roots of the signal, None for infinite-rank kinds."""
-    kind = spec.kind
-    if kind == "const_saw":
-        return PoleSet(np.array([1.0 + 0.0j]))
-    if kind.startswith("damped_cos"):
-        z = spec.b * np.exp(2j * np.pi / 10.0)
-        return PoleSet(np.array([z, z.conjugate()]))
-    if kind == "two_cos":
-        z1 = np.exp(2j * np.pi / 19.0)
-        z2 = np.exp(2j * np.pi / 21.0)
-        return PoleSet(np.array([z1, z1.conjugate(), z2, z2.conjugate()]))
-    if kind == "exp_trend":
-        return PoleSet(np.array([spec.b + 0.0j]))
-    if kind == "custom" and spec.custom_poles is not None:
-        return PoleSet(np.asarray(spec.custom_poles, dtype=complex))
-    return None
+    poles = _CATALOG[spec.kind].poles(spec)
+    return None if poles is None else PoleSet(poles)
 
 
 def true_frequencies(spec: SignalSpec) -> Optional[np.ndarray]:

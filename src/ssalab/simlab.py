@@ -77,12 +77,32 @@ def derive_seed(master_seed: int, experiment_id: str, rep_index: int) -> int:
 
 
 def pool_size(requested: Optional[int] = None) -> int:
-    """Worker count: cpu count (or `requested`), capped by SSA_LAB_THREADS."""
+    """Worker count: cpu count (or `requested`), capped by SSA_LAB_THREADS.
+
+    SSA_LAB_THREADS, when set and nonempty, must be a positive integer.
+    """
     base = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get("SSA_LAB_THREADS")
     if cap:
+        if not cap.isdecimal() or int(cap) < 1:
+            raise InvalidSpec(f"SSA_LAB_THREADS must be a positive integer, got {cap!r}")
         base = min(base, int(cap))
     return max(1, base)
+
+
+def _map_reps(run_rep, reps: int, threads: Optional[int]) -> None:
+    """Call run_rep(i) for every replication i, on a thread pool if pool_size allows.
+
+    Each replication writes only its own pre-assigned slots, so the result
+    does not depend on the worker count.
+    """
+    workers = pool_size(threads)
+    if workers > 1 and reps > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_rep, range(reps)))
+    else:
+        for i in range(reps):
+            run_rep(i)
 
 
 def canonical_functional(tag: str) -> str:
@@ -226,13 +246,7 @@ def mc_error_surface(
             except VerticalSubspace:
                 failed[j, i] = True
 
-    workers = pool_size(threads)
-    if workers > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_rep, range(reps)))
-    else:
-        for i in range(reps):
-            run_rep(i)
+    _map_reps(run_rep, reps, threads)
 
     msd = np.empty(len(windows))
     rmse = np.empty(len(windows))
@@ -281,13 +295,7 @@ def mc_point_errors(
         rec = rank_reconstruction(leading_triples(signal + residual, L, truth.rank))
         out[i] = rec[pts] - truth.signal[pts]
 
-    workers = pool_size(threads)
-    if workers > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_rep, range(reps)))
-    else:
-        for i in range(reps):
-            run_rep(i)
+    _map_reps(run_rep, reps, threads)
     return out
 
 
@@ -495,13 +503,7 @@ def forecast_error_split(
         errs[1, i] = float(est_lrf.coeffs @ tail_true) - truth
         errs[2, i] = float(exact_lrf.coeffs @ tail_rec) - truth
 
-    workers = pool_size(threads)
-    if workers > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_rep, range(reps)))
-    else:
-        for i in range(reps):
-            run_rep(i)
+    _map_reps(run_rep, reps, threads)
 
     ok = errs[:, ~failed]
     rmse = np.sqrt(np.mean(ok**2, axis=1)) if ok.size else np.full(3, np.nan)
@@ -547,14 +549,6 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
 
 
 _SIGNAL_KEYS = {"kind", "n", "b", "c", "sigma", "alpha"}
-_WHITE_NOISE_KINDS = {
-    "damped_cos_wn",
-    "damped_cos_mix",
-    "two_cos",
-    "chirp_am",
-    "chirp_trend_mix",
-    "exp_trend",
-}
 
 
 @dataclass(frozen=True)
@@ -581,39 +575,48 @@ class ExperimentConfig:
             raise InvalidSpec(f"unknown signal fields: {sorted(unknown)}")
         fields = dict(sig)
         seed = doc.get("seed", 0)
-        noise = doc.get("noise")
-        if noise is not None:
-            if not isinstance(noise, dict):
-                raise InvalidSpec("'noise' must be an object")
-            kind = noise.get("kind")
-            if kind is not None:
-                expect_red = fields["kind"] == "damped_cos_rn"
-                if kind == "red" and not expect_red:
-                    raise InvalidSpec(
-                        f"noise kind 'red' conflicts with signal kind {fields['kind']!r}"
-                    )
-                if kind == "white" and fields["kind"] not in _WHITE_NOISE_KINDS:
-                    raise InvalidSpec(
-                        f"noise kind 'white' conflicts with signal kind {fields['kind']!r}"
-                    )
-            if "sigma" in noise:
-                fields["sigma"] = noise["sigma"]
-            if "alpha" in noise:
-                fields["alpha"] = noise["alpha"]
-            if "seed" in noise and "seed" not in doc:
-                seed = noise["seed"]
-        spec = SignalSpec(**fields)
+        noise = {} if doc.get("noise") is None else doc["noise"]
+        if not isinstance(noise, dict):
+            raise InvalidSpec("'noise' must be an object")
+        for key in ("sigma", "alpha"):
+            if key in noise:
+                fields[key] = noise[key]
+        if "seed" in noise and "seed" not in doc:
+            seed = noise["seed"]
         windows = doc.get("windows")
         if not isinstance(windows, (list, tuple)) or not windows:
             raise InvalidSpec("config needs a nonempty 'windows' list")
-        reps = int(doc.get("reps", 100))
-        functional = canonical_functional(doc.get("functional", "reconstruction"))
+        reps = doc.get("reps", 100)
         ets = doc.get("eigentriples")
+        int_fields = [("signal n", fields["n"]), ("reps", reps), ("seed", seed)]
+        int_fields += [("window", w) for w in windows]
+        if ets is not None:
+            int_fields.append(("eigentriples", ets))
+        for name, value in int_fields:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+        try:
+            spec = SignalSpec(**fields)
+        except TypeError as exc:
+            raise InvalidSpec(f"bad signal field value: {exc}") from exc
+        kind = noise.get("kind")
+        if kind is not None and kind != spec.noise_family:
+            raise InvalidSpec(f"noise kind {kind!r} conflicts with signal kind {spec.kind!r}")
+        if reps < 1:
+            raise InvalidSpec(f"reps must be >= 1, got {reps}")
+        windows = tuple(int(w) for w in windows)
+        for L in windows:
+            if not 2 <= L <= spec.n - 1:
+                raise InvalidSpec(f"window {L} outside 2..N-1 (N={spec.n})")
+        if ets is not None:
+            top = min(min(L, spec.n - L + 1) for L in windows)
+            if not 1 <= ets <= top:
+                raise InvalidSpec(f"eigentriples must lie in 1..min(L, K) = 1..{top}, got {ets}")
         return ExperimentConfig(
             spec=spec,
-            windows=tuple(int(w) for w in windows),
-            reps=reps,
-            functional=functional,
+            windows=windows,
+            reps=int(reps),
+            functional=canonical_functional(doc.get("functional", "reconstruction")),
             seed=int(seed),
             output=doc.get("output"),
             eigentriples=None if ets is None else int(ets),

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .core import EigentripleSet, LeadingTriples
+from .core import EigentripleSet
 from .errors import DimensionMismatch, RankTooLarge
 
 ORTHONORMALITY_TOL = 1e-10
-PROJECTOR_MATERIALIZE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def basis_matrix(B) -> np.ndarray:
     return M
 
 
-def signal_basis(ets: EigentripleSet | LeadingTriples, r: int) -> SubspaceBasis:
+def signal_basis(ets: EigentripleSet, r: int) -> SubspaceBasis:
     """Basis of the estimated signal subspace: the r leading left vectors."""
     d = ets.sigmas.size
     if not 1 <= r <= d:
@@ -89,37 +88,3 @@ def subspace_distance(A, B) -> float:
     residual = MB - MA @ (MA.T @ MB)
     s = np.linalg.svd(residual, compute_uv=False)
     return float(min(s[0], 1.0))
-
-
-def subspace_distance_sigma_min(A, B) -> float:
-    """The sqrt(1 - sigma_min^2) form of the same distance.
-
-    Kept as an independent route for cross-checks; near-coincident subspaces
-    bottom out around sqrt(eps) here, so prefer `subspace_distance`.
-    """
-    MA, MB = basis_matrix(A), basis_matrix(B)
-    if MA.shape != MB.shape:
-        raise DimensionMismatch(f"bases have different shapes: {MA.shape} vs {MB.shape}")
-    s = np.linalg.svd(MA.T @ MB, compute_uv=False)
-    smin = min(s[-1], 1.0)
-    return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
-
-
-def projector_distance(A, B) -> float:
-    """Distance via the explicit projector difference (dense oracle route).
-
-    Only available for L <= PROJECTOR_MATERIALIZE_LIMIT; above that the
-    sigma-min formula in `subspace_distance` is the one to use.
-    """
-    MA, MB = basis_matrix(A), basis_matrix(B)
-    if MA.shape != MB.shape:
-        raise DimensionMismatch(f"bases have different shapes: {MA.shape} vs {MB.shape}")
-    L = MA.shape[0]
-    if L > PROJECTOR_MATERIALIZE_LIMIT:
-        raise ValueError(
-            f"refusing to materialize an {L} x {L} projector "
-            f"(limit {PROJECTOR_MATERIALIZE_LIMIT}); use subspace_distance"
-        )
-    D = MA @ MA.T - MB @ MB.T
-    eigs = np.linalg.eigvalsh(D)
-    return float(np.max(np.abs(eigs)))

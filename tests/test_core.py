@@ -240,3 +240,74 @@ def test_rank_reconstruction_matches_pipeline():
     fast = sl.rank_reconstruction(t)
     ref = sl.reconstruct(f, 90, [1, 2])
     np.testing.assert_allclose(fast, ref, atol=1e-10)
+
+
+def test_rank_reconstruction_dedupes_indices_like_group_matrix():
+    rng = np.random.default_rng(8)
+    f = cosine(120) + 0.1 * rng.standard_normal(120)
+    t = sl.leading_triples(f, 50, 3)
+    dense = sl.hankelize(sl.group_matrix(t, [1, 1]))
+    np.testing.assert_allclose(sl.rank_reconstruction(t, [1, 1]), dense, atol=1e-12)
+    np.testing.assert_array_equal(
+        sl.rank_reconstruction(t, [2, 1, 2]), sl.rank_reconstruction(t, [1, 2])
+    )
+    for bad in ([0], [4]):
+        with pytest.raises(IndexOutOfRange):
+            sl.rank_reconstruction(t, bad)
+
+
+@st.composite
+def fast_route_case(draw, shape):
+    """(series, L, r): a noisy rank-r signal and a window of the given shape.
+
+    Shapes: L = 2, L = N - 1, tall (L <= K), wide (L > K), and the Lanczos
+    threshold min(L, K) = 96 with rank = 96 // 4, the largest rank that
+    still takes the FFT-Lanczos route.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "threshold":
+        n_points = draw(st.integers(191, 400))
+        L = draw(st.sampled_from([96, n_points - 95]))
+        freqs = (np.arange(12) + 0.5) / 26.0
+    else:
+        n_points = draw(st.integers(10, 400))
+        r = 2 if shape in ("L=2", "L=N-1") else draw(st.sampled_from([2, 4]))
+        if shape == "L=2":
+            L = 2
+        elif shape == "L=N-1":
+            L = n_points - 1
+        elif shape == "tall":
+            L = draw(st.integers(r, (n_points + 1) // 2))
+        else:
+            L = draw(st.integers((n_points + 1) // 2 + 1, n_points - r + 1))
+        w1 = draw(st.floats(0.05, 0.2))
+        freqs = [w1] if r == 2 else [w1, w1 + draw(st.floats(0.1, 0.25))]
+    n = np.arange(n_points)
+    b = draw(st.floats(0.995, 1.0))
+    f = sum(
+        rng.uniform(1.0, 2.0) * b**n * np.cos(2 * np.pi * w * n + rng.uniform(0, 2 * np.pi))
+        for w in freqs
+    )
+    return f + 0.1 * rng.standard_normal(n_points), L, 2 * len(freqs)
+
+
+def _residual_norm(A, B):
+    """||(I - B B^T) A||_2: how far span(A) leaves span(B)."""
+    return float(np.linalg.norm(A - B @ (B.T @ A), 2))
+
+
+@pytest.mark.parametrize("shape", ["L=2", "L=N-1", "tall", "wide", "threshold"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_leading_triples_property_matches_dense(shape, data):
+    # leading triples only: on noise-free input the trailing Lanczos vectors
+    # for sigma ~ 1e-12 are rounding noise and would not match
+    f, L, r = data.draw(fast_route_case(shape))
+    t = sl.leading_triples(f, L, r)
+    ets = sl.decompose(sl.embed(f, L))
+    assert (t.method, t.L, t.K, t.count) == ("basic", L, f.size - L + 1, r)
+    assert np.max(np.abs(t.sigmas - ets.sigmas[:r])) <= 1e-9 * ets.sigmas[0]
+    assert _residual_norm(t.u, ets.u[:, :r]) <= 1e-7
+    assert _residual_norm(t.v, ets.v[:, :r]) <= 1e-7
+    dense = sl.hankelize(sl.group_matrix(ets, range(1, r + 1)))
+    assert np.max(np.abs(sl.rank_reconstruction(t) - dense)) <= 1e-9

@@ -208,6 +208,42 @@ def test_cli_simulate_reproducible(tmp_path):
     assert header == "L,functional,MSD,RMSE,reps"
 
 
+@pytest.mark.parametrize(
+    "change, env, flags",
+    [
+        ({"signal": {"kind": "damped_cos_wn", "n": "abc"}}, None, []),
+        ({"signal": {"kind": "damped_cos_wn", "n": 100.5}}, None, []),
+        ({"reps": 0}, None, []),
+        ({"reps": "many"}, None, []),
+        ({}, None, ["--reps", "0"]),
+        ({"windows": [404]}, None, []),
+        ({"windows": ["ten"]}, None, []),
+        ({"eigentriples": 500}, None, []),
+        ({}, "abc", []),
+        ({}, "0", []),
+    ],
+    ids=["n-text", "n-fraction", "reps-0", "reps-text", "flag-reps-0", "window-404",
+         "window-text", "eigentriples-500", "threads-text", "threads-0"],
+)
+def test_cli_simulate_config_errors_exit_2(tmp_path, monkeypatch, capsys, change, env, flags):
+    cfg = {
+        "signal": {"kind": "damped_cos_wn", "n": 399, "sigma": 0.1},
+        "windows": [20],
+        "reps": 2,
+        "functional": "reconstruction",
+        **change,
+    }
+    if env is not None:
+        monkeypatch.setenv("SSA_LAB_THREADS", env)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert main(["simulate", "--config", str(cfg_path), "-o", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ssalab: parse error:") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_center_flag_round_trip(tmp_path):
     src = tmp_path / "shifted.csv"
     base = np.cos(2 * np.pi * np.arange(100) / 10) + 5.0

@@ -68,8 +68,6 @@ def test_invalid_specs():
         sl.SignalSpec("damped_cos_wn", n=10, b=0.0)
     with pytest.raises(InvalidSpec):
         sl.SignalSpec("custom", n=10)
-    with pytest.raises(InvalidSpec):
-        sl.NoiseSpec(kind="pink")
 
 
 def test_true_poles_and_rank():

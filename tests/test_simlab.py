@@ -226,6 +226,16 @@ def test_experiment_config_noise_kind_conflict():
         )
     with pytest.raises(InvalidSpec):
         sl.ExperimentConfig.from_dict(
+            {"signal": {"kind": "damped_cos_const", "n": 100}, "noise": {"kind": "white"},
+             "windows": [30]}
+        )
+    red = sl.ExperimentConfig.from_dict(
+        {"signal": {"kind": "damped_cos_rn", "n": 100}, "noise": {"kind": "red", "alpha": 0.7},
+         "windows": [30]}
+    )
+    assert red.spec.alpha == 0.7
+    with pytest.raises(InvalidSpec):
+        sl.ExperimentConfig.from_dict(
             {"signal": {"kind": "damped_cos_wn", "n": 100, "zeta": 1}, "windows": [30]}
         )
     with pytest.raises(InvalidSpec):
