@@ -255,18 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p, fmt=True):
         p.add_argument("--input", "-i", help="input series CSV (one value per line)")
-        if output:
-            p.add_argument("--output", "-o", required=True, help="output file path")
+        p.add_argument("--output", "-o", required=True, help="output file path")
         p.add_argument("--window", "-L", type=int, help="window length (default (N+1)//2)")
         p.add_argument("--toeplitz", action="store_true", help="use the Toeplitz variant")
         p.add_argument("--center", action="store_true", help="subtract the mean first")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("decompose", help="export eigentriples as JSON")
-    common(p)
+    common(p, fmt=False)
     p.set_defaults(func=cmd_decompose, input_required=True)
 
     p = sub.add_parser("reconstruct", help="reconstruct a grouped component")

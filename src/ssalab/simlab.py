@@ -1,11 +1,14 @@
 """Monte-Carlo error laboratory: error-vs-window surfaces, convergence ratios,
 the closed-form variance of reconstruction errors, and the forecast error split.
 
-Reproducibility contract: replication i of an experiment draws from a
-generator seeded with hash64(master_seed, experiment_id, i). Replications are
-independent tasks writing to pre-assigned slots, so results are identical for
-any worker count. The pool size is min(cpu count, SSA_LAB_THREADS) unless a
-call asks for fewer.
+Every experiment runs through `_replicate`: replication i seeds a generator
+with derive_seed(master_seed, experiment_id, i), draws the series with
+gen_series, takes leading_triples(observed, L, r) once per declared (L, r) and
+passes them to the experiment's evaluate(triples, row, failed_row), which fills
+row i only; so results are identical for any worker count. The pool size is
+min(cpu count, SSA_LAB_THREADS) unless a call asks for fewer. `_make_truth`
+holds every check of rank, window and eigentriple count, so bad input raises
+InvalidSpec before any replication runs.
 """
 
 from __future__ import annotations
@@ -90,12 +93,23 @@ def pool_size(requested: Optional[int] = None) -> int:
     return max(1, base)
 
 
-def _map_reps(run_rep, reps: int, threads: Optional[int]) -> None:
-    """Call run_rep(i) for every replication i, on a thread pool if pool_size allows.
+def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width):
+    """Run `reps` replications; return (errors, failed), each of shape (reps, width).
 
-    Each replication writes only its own pre-assigned slots, so the result
-    does not depend on the worker count.
+    Replication i calls evaluate(triples, errors[i], failed[i]) with one
+    leading_triples result per (L, r) in `shapes`; errors start as NaN.
     """
+    if reps < 1:
+        raise InvalidSpec(f"reps must be >= 1, got {reps}")
+    errors = np.full((reps, width), np.nan)
+    failed = np.zeros((reps, width), dtype=bool)
+
+    def run_rep(i: int) -> None:
+        rng = np.random.default_rng(derive_seed(master_seed, exp_id, i))
+        signal, residual = gen_series(spec, rng)
+        observed = signal + residual
+        evaluate([leading_triples(observed, L, r) for L, r in shapes], errors[i], failed[i])
+
     workers = pool_size(threads)
     if workers > 1 and reps > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -103,6 +117,7 @@ def _map_reps(run_rep, reps: int, threads: Optional[int]) -> None:
     else:
         for i in range(reps):
             run_rep(i)
+    return errors, failed
 
 
 def canonical_functional(tag: str) -> str:
@@ -119,7 +134,6 @@ def canonical_functional(tag: str) -> str:
 class _Truth:
     """Per-(spec, L) context: the noise-free quantities errors are measured against."""
 
-    spec: SignalSpec
     L: int
     rank: int
     rec_rank: int
@@ -130,18 +144,31 @@ class _Truth:
     log_b: float
 
 
-def _make_truth(spec: SignalSpec, L: int, rec_rank: Optional[int] = None) -> _Truth:
+def _finite_rank(spec: SignalSpec) -> int:
     r = exact_rank(spec)
     if r is None:
+        raise InvalidSpec(f"kind {spec.kind!r} has no finite rank; Monte-Carlo functionals need one")
+    return r
+
+
+def _make_truth(spec: SignalSpec, L: int, rec_rank: Optional[int] = None) -> _Truth:
+    """The truth at window L; raises InvalidSpec unless the kind has a finite
+    rank r, 2 <= L <= N-1, r < L, K = N-L+1 >= r and rec_rank is in 1..min(L, K).
+    """
+    r = _finite_rank(spec)
+    K = spec.n - L + 1
+    if not (2 <= L <= spec.n - 1 and r < L and r <= K):
+        raise InvalidSpec(f"window {L} needs 2 <= L <= N-1, r < L, K >= r (N={spec.n}, r={r})")
+    rec_rank = r if rec_rank is None else int(rec_rank)
+    if not 1 <= rec_rank <= min(L, K):
         raise InvalidSpec(
-            f"kind {spec.kind!r} has no finite rank; Monte-Carlo functionals need one"
+            f"eigentriples must lie in 1..min(L, K) = 1..{min(L, K)}, got {rec_rank}"
         )
     s_ext = signal_values(spec, np.arange(spec.n + 1))
     return _Truth(
-        spec=spec,
         L=L,
         rank=r,
-        rec_rank=r if rec_rank is None else int(rec_rank),
+        rec_rank=rec_rank,
         signal=s_ext[:-1],
         next_value=float(s_ext[-1]),
         exact_u=exact_basis(spec, L).columns,
@@ -150,17 +177,15 @@ def _make_truth(spec: SignalSpec, L: int, rec_rank: Optional[int] = None) -> _Tr
     )
 
 
-def _match_rms(true_vals: np.ndarray, estimates: np.ndarray) -> float:
-    diffs = [np.min(np.abs(estimates - t)) for t in true_vals]
-    return float(np.sqrt(np.mean(np.square(diffs))))
+_REC_FUNCTIONALS = ("reconstruction", "reconstruction-last-10", "forecast-1-step")
 
 
-def _functional_error(tag: str, observed: np.ndarray, truth: _Truth) -> float:
+def _functional_error(tag: str, t, truth: _Truth) -> float:
+    """Error of one replication's leading triples `t`: truth.rec_rank of them
+    for the reconstruction functionals, truth.rank for the others."""
     if tag == "projector":
-        t = leading_triples(observed, truth.L, truth.rank)
         return subspace_distance(t.u, truth.exact_u)
-    if tag in ("reconstruction", "reconstruction-last-10", "forecast-1-step"):
-        t = leading_triples(observed, truth.L, truth.rec_rank)
+    if tag in _REC_FUNCTIONALS:
         rec = rank_reconstruction(t)
         if tag == "reconstruction":
             return float(np.linalg.norm(rec - truth.signal) / np.sqrt(truth.signal.size))
@@ -171,16 +196,14 @@ def _functional_error(tag: str, observed: np.ndarray, truth: _Truth) -> float:
         pred = float(lrf.coeffs @ rec[-lrf.order:])
         return abs(pred - truth.next_value)
     if tag in ("frequency", "base"):
-        t = leading_triples(observed, truth.L, truth.rank)
         poles = esprit_ls(t.u).poles()
-        if tag == "frequency":
-            return _match_rms(truth.freqs, pair_frequencies(poles))
-        est_freqs = np.abs(np.angle(poles.poles)) / (2.0 * np.pi)
-        est_logmod = np.log(np.abs(poles.poles))
-        diffs = []
-        for w in truth.freqs:
-            j = int(np.argmin(np.abs(est_freqs - w)))
-            diffs.append(est_logmod[j] - truth.log_b)
+        if tag == "frequency":  # distance to the nearest estimated frequency
+            est = pair_frequencies(poles)
+            diffs = [np.min(np.abs(est - w)) for w in truth.freqs]
+        else:  # log-modulus error of the pole nearest each true frequency
+            est = np.abs(np.angle(poles.poles)) / (2.0 * np.pi)
+            logmod = np.log(np.abs(poles.poles))
+            diffs = [logmod[np.argmin(np.abs(est - w))] - truth.log_b for w in truth.freqs]
         return float(np.sqrt(np.mean(np.square(diffs))))
     raise InvalidSpec(f"unknown functional {tag!r}")
 
@@ -227,31 +250,26 @@ def mc_error_surface(
     """
     tag = canonical_functional(functional)
     windows = tuple(int(L) for L in windows)
-    if reps < 1:
-        raise InvalidSpec(f"reps must be >= 1, got {reps}")
     if not windows:
         raise InvalidSpec("need at least one window length")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
     truths = [_make_truth(spec, L, rec_rank=eigentriples) for L in windows]
-    errors = np.full((len(windows), reps), np.nan)
-    failed = np.zeros((len(windows), reps), dtype=bool)
+    shapes = [(t.L, t.rec_rank if tag in _REC_FUNCTIONALS else t.rank) for t in truths]
 
-    def run_rep(i: int) -> None:
-        rng = np.random.default_rng(derive_seed(master_seed, exp_id, i))
-        signal, residual = gen_series(spec, rng)
-        observed = signal + residual
-        for j, truth in enumerate(truths):
+    def evaluate(triples, row, failed_row) -> None:
+        for j, (t, truth) in enumerate(zip(triples, truths)):
             try:
-                errors[j, i] = _functional_error(tag, observed, truth)
+                row[j] = _functional_error(tag, t, truth)
             except VerticalSubspace:
-                failed[j, i] = True
+                failed_row[j] = True
 
-    _map_reps(run_rep, reps, threads)
-
+    errors, failed = _replicate(
+        spec, exp_id, master_seed, reps, threads, shapes, evaluate, len(windows)
+    )
     msd = np.empty(len(windows))
     rmse = np.empty(len(windows))
     for j in range(len(windows)):
-        ok = errors[j, ~failed[j]]
+        ok = errors[~failed[:, j], j]
         if ok.size == 0:
             msd[j] = rmse[j] = np.nan
         else:
@@ -263,7 +281,7 @@ def mc_error_surface(
         windows=windows,
         msd=msd,
         rmse=rmse,
-        failures=failed.sum(axis=1),
+        failures=failed.sum(axis=0),
         reps=reps,
         master_seed=master_seed,
         experiment_id=exp_id,
@@ -286,17 +304,15 @@ def mc_point_errors(
     """
     truth = _make_truth(spec, L)
     pts = np.asarray(points, dtype=int)
+    if pts.size == 0 or pts.min() < 0 or pts.max() >= spec.n:
+        raise InvalidSpec(f"points must be indices in 0..N-1 = 0..{spec.n - 1}, got {points!r}")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:point:L={L}"
-    out = np.empty((reps, pts.size))
 
-    def run_rep(i: int) -> None:
-        rng = np.random.default_rng(derive_seed(master_seed, exp_id, i))
-        signal, residual = gen_series(spec, rng)
-        rec = rank_reconstruction(leading_triples(signal + residual, L, truth.rank))
-        out[i] = rec[pts] - truth.signal[pts]
+    def evaluate(triples, row, failed_row) -> None:
+        row[:] = rank_reconstruction(triples[0])[pts] - truth.signal[pts]
 
-    _map_reps(run_rep, reps, threads)
-    return out
+    return _replicate(spec, exp_id, master_seed, reps, threads, [(L, truth.rank)], evaluate,
+                      pts.size)[0]
 
 
 # -- convergence ratios -------------------------------------------------------
@@ -350,12 +366,8 @@ def convergence_ratio(
 ) -> ConvergenceReport:
     """Run the same experiment at lengths n1 and 4 n1 and report the RMSE ratio."""
     tag = canonical_functional(functional)
-    if reps < 1:
-        raise InvalidSpec(f"reps must be >= 1, got {reps}")
     n2 = 4 * n1
-    rank = exact_rank(spec)
-    if rank is None:
-        raise InvalidSpec(f"kind {spec.kind!r} has no finite rank")
+    rank = _finite_rank(spec)
     rows = []
     for n in (n1, n2):
         s = replace(spec, n=n)
@@ -477,36 +489,29 @@ def forecast_error_split(
     threads: Optional[int] = None,
 ) -> ForecastErrorSplit:
     """Separate recurrence-estimation error from reconstruction error, one step ahead."""
-    rank = exact_rank(spec)
-    if rank is None:
-        raise InvalidSpec(f"kind {spec.kind!r} has no finite rank")
-    s_ext = signal_values(spec, np.arange(spec.n + 1))
-    s_hist, truth = s_ext[:-1], float(s_ext[-1])
-    exact_lrf = min_norm_lrf(exact_basis(spec, lrf_window))
+    truth = _make_truth(spec, lrf_window)
+    _make_truth(spec, rec_window)  # checks the reconstruction window the same way
+    exact_lrf = min_norm_lrf(truth.exact_u)
     exp_id = f"{spec.kind}:forecast-split:Llrf={lrf_window}"
-    errs = np.full((3, reps), np.nan)
-    failed = np.zeros(reps, dtype=bool)
 
-    def run_rep(i: int) -> None:
-        rng = np.random.default_rng(derive_seed(master_seed, exp_id, i))
-        signal, residual = gen_series(spec, rng)
-        observed = signal + residual
+    def evaluate(triples, row, failed_row) -> None:
         try:
-            est_lrf = min_norm_lrf(leading_triples(observed, lrf_window, rank).u)
+            est_lrf = min_norm_lrf(triples[0].u)
         except VerticalSubspace:
-            failed[i] = True
+            failed_row[:] = True
             return
-        rec = rank_reconstruction(leading_triples(observed, rec_window, rank))
+        rec = rank_reconstruction(triples[1])
         tail_rec = rec[-est_lrf.order:]
-        tail_true = s_hist[-est_lrf.order:]
-        errs[0, i] = float(est_lrf.coeffs @ tail_rec) - truth
-        errs[1, i] = float(est_lrf.coeffs @ tail_true) - truth
-        errs[2, i] = float(exact_lrf.coeffs @ tail_rec) - truth
+        tail_true = truth.signal[-est_lrf.order:]
+        row[0] = float(est_lrf.coeffs @ tail_rec) - truth.next_value
+        row[1] = float(est_lrf.coeffs @ tail_true) - truth.next_value
+        row[2] = float(exact_lrf.coeffs @ tail_rec) - truth.next_value
 
-    _map_reps(run_rep, reps, threads)
-
-    ok = errs[:, ~failed]
-    rmse = np.sqrt(np.mean(ok**2, axis=1)) if ok.size else np.full(3, np.nan)
+    shapes = [(lrf_window, truth.rank), (rec_window, truth.rank)]
+    errors, failed = _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, 3)
+    failed = failed[:, 0]
+    ok = errors[~failed]  # axis-0 sums run in replication order, not pairwise
+    rmse = np.sqrt(np.mean(ok**2, axis=0)) if ok.size else np.full(3, np.nan)
     return ForecastErrorSplit(
         spec=spec,
         lrf_window=lrf_window,
@@ -530,9 +535,7 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
     norm is not pinned down by the derivation; this returns the spectral
     norm, so treat the value as an interpretation rather than a quotation.
     """
-    rank = exact_rank(spec)
-    if rank is None:
-        raise InvalidSpec(f"kind {spec.kind!r} has no finite rank")
+    rank = _make_truth(spec, L).rank
     S = embed(signal_values(spec), L)
     K = S.shape[1]
     U, s, _ = np.linalg.svd(S, full_matrices=False)
@@ -606,12 +609,7 @@ class ExperimentConfig:
             raise InvalidSpec(f"reps must be >= 1, got {reps}")
         windows = tuple(int(w) for w in windows)
         for L in windows:
-            if not 2 <= L <= spec.n - 1:
-                raise InvalidSpec(f"window {L} outside 2..N-1 (N={spec.n})")
-        if ets is not None:
-            top = min(min(L, spec.n - L + 1) for L in windows)
-            if not 1 <= ets <= top:
-                raise InvalidSpec(f"eigentriples must lie in 1..min(L, K) = 1..{top}, got {ets}")
+            _make_truth(spec, L, rec_rank=ets)
         return ExperimentConfig(
             spec=spec,
             windows=windows,

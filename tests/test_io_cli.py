@@ -221,9 +221,14 @@ def test_cli_simulate_reproducible(tmp_path):
         ({"eigentriples": 500}, None, []),
         ({}, "abc", []),
         ({}, "0", []),
+        ({"windows": [2]}, None, []),
+        ({"signal": {"kind": "two_cos", "n": 100}, "windows": [3]}, None, []),
+        ({"signal": {"kind": "two_cos", "n": 100}, "windows": [98]}, None, []),
+        ({"signal": {"kind": "chirp_am", "n": 100}}, None, []),
     ],
     ids=["n-text", "n-fraction", "reps-0", "reps-text", "flag-reps-0", "window-404",
-         "window-text", "eigentriples-500", "threads-text", "threads-0"],
+         "window-text", "eigentriples-500", "threads-text", "threads-0", "window-2-rank-2",
+         "two-cos-window-3", "two-cos-window-98", "chirp-no-finite-rank"],
 )
 def test_cli_simulate_config_errors_exit_2(tmp_path, monkeypatch, capsys, change, env, flags):
     cfg = {
@@ -256,6 +261,16 @@ def test_cli_center_flag_round_trip(tmp_path):
     assert rc == 0
     rec = sio.read_series(out)
     assert np.max(np.abs(rec - base)) <= 1e-8
+
+
+def test_cli_decompose_rejects_format(tmp_path):
+    src = tmp_path / "cos.csv"
+    write_cosine_csv(src)
+    out = tmp_path / "d.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "-i", str(src), "-L", "20", "--format", "csv", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ssalab as sl
+import ssalab.simlab as simlab
 from ssalab.errors import InvalidSpec, OutOfDomain
 from ssalab.simlab import EXACT_SEPARABILITY_RMSE, pool_size
 
@@ -43,13 +44,52 @@ def test_msd_le_rmse():
     assert np.all(surf.msd <= surf.rmse + 1e-15)
 
 
-def test_reproducible_across_worker_counts(monkeypatch):
+def _as_bytes(result):
+    """Every numeric and text field of a result, as bytes (the spec left out)."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    return [np.asarray(v).tobytes() for v in vars(result).values() if v is not result.spec]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sl.mc_error_surface(WN, [40, 50], 12, "reconstruction", master_seed=4),
+        lambda: sl.mc_point_errors(WN, 40, [0, 50, 99], 12, master_seed=4),
+        lambda: sl.forecast_error_split(WN, 40, 50, 12, master_seed=4),
+    ],
+    ids=["mc_error_surface", "mc_point_errors", "forecast_error_split"],
+)
+def test_reproducible_across_worker_counts(monkeypatch, run):
     monkeypatch.setenv("SSA_LAB_THREADS", "1")
-    serial = sl.mc_error_surface(WN, [40, 50], 12, "reconstruction", master_seed=4)
+    serial = _as_bytes(run())
     monkeypatch.setenv("SSA_LAB_THREADS", "4")
-    threaded = sl.mc_error_surface(WN, [40, 50], 12, "reconstruction", master_seed=4)
-    assert np.array_equal(serial.rmse, threaded.rmse)
-    assert np.array_equal(serial.msd, threaded.msd)
+    assert _as_bytes(run()) == serial
+
+
+def test_rank_too_large_for_window_is_invalid_spec():
+    # r = 2 needs L > 2; the eigentriples would otherwise fail as a bare ValueError
+    with pytest.raises(InvalidSpec, match="r < L"):
+        sl.mc_error_surface(WN, [2], 2, "projector")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sl.mc_point_errors(WN, 40, [-1], 2),
+        lambda: sl.mc_point_errors(WN, 40, [WN.n], 2),
+        lambda: sl.mc_point_errors(WN, 40, [10], 0),
+        lambda: sl.forecast_error_split(WN, 40, 50, 0),
+    ],
+    ids=["point-negative", "point-N", "points-reps-0", "split-reps-0"],
+)
+def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
+    def no_replication(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simlab, "gen_series", no_replication)
+    with pytest.raises(InvalidSpec):
+        run()
 
 
 def test_functional_aliases_and_unknown():
