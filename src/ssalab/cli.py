@@ -88,12 +88,12 @@ def _default_window(n: int, verbose: bool) -> int:
     return L
 
 
-def _prepared(args) -> tuple[np.ndarray, float]:
-    """Load the input series and apply optional centering."""
+def _prepared(args) -> tuple[np.ndarray, float, int]:
+    """Load the input series, apply optional centering and resolve the window."""
     f = _load_series(args.input)
-    if getattr(args, "center", False):
-        return center(f)
-    return f, 0.0
+    f, mean = center(f) if args.center else (f, 0.0)
+    L = args.window if args.window is not None else _default_window(f.size, args.verbose)
+    return f, mean, L
 
 
 def _decomposition(f: np.ndarray, L: int, toeplitz_flag: bool):
@@ -103,8 +103,7 @@ def _decomposition(f: np.ndarray, L: int, toeplitz_flag: bool):
 
 
 def cmd_decompose(args) -> None:
-    f, mean = _prepared(args)
-    L = args.window or _default_window(f.size, args.verbose)
+    f, mean, L = _prepared(args)
     ets = _decomposition(f, L, args.toeplitz)
     sio.write_eigentriples(args.output, ets, mean if args.center else None)
     if args.verbose:
@@ -119,8 +118,7 @@ def cmd_reconstruct(args) -> None:
         except (ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"{args.from_decomposition}: {exc}") from exc
     else:
-        f, mean = _prepared(args)
-        L = args.window or _default_window(f.size, args.verbose)
+        f, mean, L = _prepared(args)
         ets = _decomposition(f, L, args.toeplitz)
     if group is None:
         group = list(range(1, ets.count + 1))
@@ -129,9 +127,8 @@ def cmd_reconstruct(args) -> None:
 
 
 def cmd_forecast(args) -> None:
-    f, mean = _prepared(args)
-    rec_window = args.window or _default_window(f.size, args.verbose)
-    lrf_window = args.lrf_window or rec_window
+    f, mean, rec_window = _prepared(args)
+    lrf_window = args.lrf_window if args.lrf_window is not None else rec_window
     if args.toeplitz:
         print(
             "warning: forecasting from a Toeplitz decomposition assumes stationarity"
@@ -206,16 +203,14 @@ def _pseudospectrum_from_method(args, ets):
 
 
 def cmd_estimate(args) -> None:
-    f, _ = _prepared(args)
-    L = args.window or _default_window(f.size, args.verbose)
+    f, _, L = _prepared(args)
     ets = _decomposition(f, L, args.toeplitz)
     est = _estimates_from_method(args, ets)
     sio.write_param_estimates(args.output, est, fmt=args.format)
 
 
 def cmd_pseudospectrum(args) -> None:
-    f, _ = _prepared(args)
-    L = args.window or _default_window(f.size, args.verbose)
+    f, _, L = _prepared(args)
     ets = _decomposition(f, L, args.toeplitz)
     ps = _pseudospectrum_from_method(args, ets)
     sio.write_pseudospectrum(args.output, ps, fmt=args.format)

@@ -47,9 +47,7 @@ def esprit_ls(B) -> ShiftMatrixEstimate:
     eigenvalues are invariant under nonsingular changes of that basis.
     """
     M = basis_matrix(B)
-    L, r = M.shape
-    if L < r + 1:
-        raise RankDeficientShift(f"need L >= r + 1 rows, got L={L}, r={r}")
+    r = M.shape[1]
     upper, lower = M[:-1], M[1:]
     D, _, rank, _ = np.linalg.lstsq(upper, lower, rcond=None)
     if rank < r:
@@ -66,9 +64,7 @@ def esprit_tls(B) -> ShiftMatrixEstimate:
     under orthogonal (not general nonsingular) basis changes.
     """
     M = basis_matrix(B)
-    L, r = M.shape
-    if L < r + 1:
-        raise RankDeficientShift(f"need L >= r + 1 rows, got L={L}, r={r}")
+    r = M.shape[1]
     stacked = np.hstack([M[:-1], M[1:]])
     _, _, Vt = np.linalg.svd(stacked, full_matrices=True)
     V = Vt.T

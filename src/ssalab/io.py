@@ -1,6 +1,7 @@
 """File formats: series CSV, eigentriple JSON, estimate/pseudospectrum CSV,
 experiment reports. All floats are written with round-trip precision so a
-decomposition exported to JSON reproduces downstream results bit for bit.
+decomposition exported to JSON reproduces downstream results bit for bit;
+that format lives in the two writers `_write_csv` and `_write_json`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 
 from .core import EigentripleSet
 from .estimate import ParamEstimates, Pseudospectrum
-from .forecast import SignalModel
 from .simlab import ErrorSurface
 
 
@@ -42,23 +42,41 @@ def read_series(path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_json(path, doc, indent=None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+
+
+def _floats(col) -> list:
+    return np.asarray(col, dtype=float).tolist()
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """The header line, then one comma-joined line per row. A float column is
+    written with repr (round-trip precision), any other column with str."""
+    cells = [
+        map(repr, _floats(col)) if np.asarray(col).dtype.kind == "f" else map(str, col)
+        for col in columns
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _write_table(path, fmt: str, header: str, columns, json_doc) -> None:
+    """Write `columns` as CSV, or the document `json_doc()` builds as JSON."""
+    if fmt == "csv":
+        _write_csv(path, header, columns)
+    elif fmt == "json":
+        _write_json(path, json_doc())
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
 def write_series(path, values, fmt: str = "csv", header: str = "value") -> None:
     values = np.asarray(values, dtype=float)
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for v in values:
-                fh.write(_fmt(v) + "\n")
-    elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([float(v) for v in values], fh)
-            fh.write("\n")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    _write_table(path, fmt, header, [values], values.tolist)
 
 
 def eigentriples_to_dict(ets: EigentripleSet, mean: float | None = None) -> dict:
@@ -97,9 +115,7 @@ def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
 
 
 def write_eigentriples(path, ets: EigentripleSet, mean: float | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(eigentriples_to_dict(ets, mean), fh)
-        fh.write("\n")
+    _write_json(path, eigentriples_to_dict(ets, mean))
 
 
 def read_eigentriples(path) -> tuple[EigentripleSet, float]:
@@ -108,60 +124,23 @@ def read_eigentriples(path) -> tuple[EigentripleSet, float]:
 
 
 def write_param_estimates(path, est: ParamEstimates, fmt: str = "csv") -> None:
-    rows = list(zip(est.frequencies, est.dampings, est.moduli))
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("frequency,damping,modulus\n")
-            for fr, da, mo in rows:
-                fh.write(f"{_fmt(fr)},{_fmt(da)},{_fmt(mo)}\n")
-    elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                [
-                    {"frequency": float(fr), "damping": float(da), "modulus": float(mo)}
-                    for fr, da, mo in rows
-                ],
-                fh,
-            )
-            fh.write("\n")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    keys = ("frequency", "damping", "modulus")
+    columns = (est.frequencies, est.dampings, est.moduli)
+    _write_table(path, fmt, ",".join(keys), columns,
+                 lambda: [dict(zip(keys, row)) for row in zip(*map(_floats, columns))])
 
 
 def write_pseudospectrum(path, ps: Pseudospectrum, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("omega,value\n")
-            for om, val in zip(ps.omegas, ps.values):
-                fh.write(f"{_fmt(om)},{_fmt(val)}\n")
-    elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "method": ps.method,
-                    "omega": [float(x) for x in ps.omegas],
-                    "value": [float(x) for x in ps.values],
-                },
-                fh,
-            )
-            fh.write("\n")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-
-def error_surface_rows(surf: ErrorSurface) -> list[tuple]:
-    return [
-        (int(L), surf.functional, float(surf.msd[j]), float(surf.rmse[j]), int(surf.reps))
-        for j, L in enumerate(surf.windows)
-    ]
+    _write_table(path, fmt, "omega,value", (ps.omegas, ps.values),
+                 lambda: {"method": ps.method, "omega": _floats(ps.omegas),
+                          "value": _floats(ps.values)})
 
 
 def write_error_surface_csv(path, surf: ErrorSurface) -> None:
     """Plot-ready long format: one row per window length."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("L,functional,MSD,RMSE,reps\n")
-        for L, tag, msd, rmse, reps in error_surface_rows(surf):
-            fh.write(f"{L},{tag},{_fmt(msd)},{_fmt(rmse)},{reps}\n")
+    n = len(surf.windows)
+    columns = (surf.windows, [surf.functional] * n, surf.msd, surf.rmse, [surf.reps] * n)
+    _write_csv(path, "L,functional,MSD,RMSE,reps", columns)
 
 
 def error_surface_to_dict(surf: ErrorSurface) -> dict:
@@ -186,27 +165,4 @@ def error_surface_to_dict(surf: ErrorSurface) -> dict:
 
 
 def write_error_surface_json(path, surf: ErrorSurface) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(error_surface_to_dict(surf), fh, indent=2)
-        fh.write("\n")
-
-
-def signal_model_to_list(model: SignalModel) -> list[dict]:
-    """JSON view: one entry per pole with its polynomial coefficients."""
-    out = []
-    for mu, k, coeffs in zip(model.poles, model.multiplicities, model.coefficients):
-        out.append(
-            {
-                "re": float(mu.real),
-                "im": float(mu.imag),
-                "multiplicity": int(k),
-                "coefficients": [[float(c.real), float(c.imag)] for c in coeffs],
-            }
-        )
-    return out
-
-
-def write_signal_model(path, model: SignalModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(signal_model_to_list(model), fh)
-        fh.write("\n")
+    _write_json(path, error_surface_to_dict(surf), indent=2)

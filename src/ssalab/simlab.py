@@ -151,18 +151,23 @@ def _finite_rank(spec: SignalSpec) -> int:
     return r
 
 
-def _make_truth(spec: SignalSpec, L: int, rec_rank: Optional[int] = None) -> _Truth:
+def _make_truth(
+    spec: SignalSpec, L: int, rec_rank: Optional[int] = None, functional: Optional[str] = None
+) -> _Truth:
     """The truth at window L; raises InvalidSpec unless the kind has a finite
-    rank r, 2 <= L <= N-1, r < L, K = N-L+1 >= r and rec_rank is in 1..min(L, K).
+    rank r, 2 <= L <= N-1, r < L, K = N-L+1 >= r and rec_rank is in 1..min(L, K),
+    and below L for forecast-1-step, whose min-norm recurrence needs rec_rank < L.
     """
     r = _finite_rank(spec)
     K = spec.n - L + 1
     if not (2 <= L <= spec.n - 1 and r < L and r <= K):
         raise InvalidSpec(f"window {L} needs 2 <= L <= N-1, r < L, K >= r (N={spec.n}, r={r})")
     rec_rank = r if rec_rank is None else int(rec_rank)
-    if not 1 <= rec_rank <= min(L, K):
+    top = min(L - 1 if functional == "forecast-1-step" else L, K)
+    if not 1 <= rec_rank <= top:
         raise InvalidSpec(
-            f"eigentriples must lie in 1..min(L, K) = 1..{min(L, K)}, got {rec_rank}"
+            f"eigentriples must lie in 1..{top} for {functional} at L={L}, K={K},"
+            f" got {rec_rank}"
         )
     s_ext = signal_values(spec, np.arange(spec.n + 1))
     return _Truth(
@@ -253,7 +258,7 @@ def mc_error_surface(
     if not windows:
         raise InvalidSpec("need at least one window length")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
-    truths = [_make_truth(spec, L, rec_rank=eigentriples) for L in windows]
+    truths = [_make_truth(spec, L, eigentriples, tag) for L in windows]
     shapes = [(t.L, t.rec_rank if tag in _REC_FUNCTIONALS else t.rank) for t in truths]
 
     def evaluate(triples, row, failed_row) -> None:
@@ -608,13 +613,14 @@ class ExperimentConfig:
         if reps < 1:
             raise InvalidSpec(f"reps must be >= 1, got {reps}")
         windows = tuple(int(w) for w in windows)
+        functional = canonical_functional(doc.get("functional", "reconstruction"))
         for L in windows:
-            _make_truth(spec, L, rec_rank=ets)
+            _make_truth(spec, L, ets, functional)
         return ExperimentConfig(
             spec=spec,
             windows=windows,
             reps=int(reps),
-            functional=canonical_functional(doc.get("functional", "reconstruction")),
+            functional=functional,
             seed=int(seed),
             output=doc.get("output"),
             eigentriples=None if ets is None else int(ets),

@@ -116,6 +116,18 @@ def test_minnorm_peak_at_signal_frequency():
     assert np.all(ps.values > 0)
 
 
+def test_minnorm_alignment_matches_min_norm_recurrence():
+    # the min-norm vector is the recurrence (-a, 1) of min_norm_lrf up to scale,
+    # and the alignment is scale-free
+    om = np.linspace(0.0, 0.5, 257)
+    for seed in range(60):
+        B = cos_basis(sigma=0.5, seed=seed)
+        a = np.append(-sl.min_norm_lrf(B).coeffs, 1.0)
+        G = np.exp(2j * np.pi * np.outer(om, np.arange(a.size))) @ a
+        want = np.abs(G) ** 2 / (a.size * float(a @ a))
+        np.testing.assert_allclose(sl.minnorm_alignment(B, om), want, rtol=1e-12)
+
+
 def test_minnorm_two_sinusoids_against_dense_grid():
     spec = sl.SignalSpec("two_cos", n=399, sigma=0.0)
     ets = sl.decompose(sl.embed(sl.signal_values(spec), 100))

@@ -187,6 +187,52 @@ def test_cli_pseudospectrum(tmp_path):
     assert len(rows) == 513
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "-L", "20", "--group", "1,2"],
+        ["forecast", "-L", "20", "-r", "2", "--steps", "3"],
+        ["estimate", "-L", "20", "-r", "2", "--method", "esprit-tls"],
+        ["pseudospectrum", "-L", "20", "-r", "2", "--method", "music", "--gridsize", "64"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_json_numbers_equal_csv_numbers(tmp_path, argv):
+    src = tmp_path / "noisy.csv"
+    noise = 0.1 * np.random.default_rng(0).standard_normal(100)
+    f = np.cos(2 * np.pi * np.arange(100) / 10) + noise
+    src.write_text("\n".join(repr(float(v)) for v in f) + "\n")
+    csv_out, json_out = tmp_path / "o.csv", tmp_path / "o.json"
+    assert main([*argv, "-i", str(src), "-o", str(csv_out)]) == 0
+    assert main([*argv, "-i", str(src), "--format", "json", "-o", str(json_out)]) == 0
+    header, *lines = csv_out.read_text().splitlines()
+    columns = [list(col) for col in zip(*([float(x) for x in ln.split(",")] for ln in lines))]
+    doc = json.loads(json_out.read_text())
+    if argv[0] in ("reconstruct", "forecast"):
+        assert doc == columns[0]
+    elif argv[0] == "estimate":
+        assert doc == [dict(zip(header.split(","), row)) for row in zip(*columns)]
+    else:
+        assert doc == {"method": "music", "omega": columns[0], "value": columns[1]}
+    assert len(columns[0]) == {"reconstruct": 100, "forecast": 3, "estimate": 2,
+                               "pseudospectrum": 64}[argv[0]]
+
+
+def test_error_surface_csv_exact_bytes(tmp_path):
+    surf = sl.ErrorSurface(
+        spec=sl.SignalSpec("damped_cos_wn", n=100), functional="projector", windows=(20, 30),
+        msd=np.array([0.1, 1 / 3]), rmse=np.array([np.nan, 2.5e-17]), failures=np.array([0, 5]),
+        reps=5, master_seed=0, experiment_id="x",
+    )
+    p = tmp_path / "s.csv"
+    sio.write_error_surface_csv(p, surf)
+    assert p.read_bytes() == (
+        b"L,functional,MSD,RMSE,reps\n"
+        b"20,projector,0.1,nan,5\n"
+        b"30,projector,0.3333333333333333,2.5e-17,5\n"
+    )
+
+
 def test_cli_simulate_reproducible(tmp_path):
     cfg = {
         "signal": {"kind": "damped_cos_wn", "n": 60, "b": 1.0, "sigma": 0.1},
@@ -225,10 +271,12 @@ def test_cli_simulate_reproducible(tmp_path):
         ({"signal": {"kind": "two_cos", "n": 100}, "windows": [3]}, None, []),
         ({"signal": {"kind": "two_cos", "n": 100}, "windows": [98]}, None, []),
         ({"signal": {"kind": "chirp_am", "n": 100}}, None, []),
+        ({"windows": [3], "eigentriples": 3, "functional": "forecast-1-step"}, None, []),
     ],
     ids=["n-text", "n-fraction", "reps-0", "reps-text", "flag-reps-0", "window-404",
          "window-text", "eigentriples-500", "threads-text", "threads-0", "window-2-rank-2",
-         "two-cos-window-3", "two-cos-window-98", "chirp-no-finite-rank"],
+         "two-cos-window-3", "two-cos-window-98", "chirp-no-finite-rank",
+         "forecast-eigentriples-L"],
 )
 def test_cli_simulate_config_errors_exit_2(tmp_path, monkeypatch, capsys, change, env, flags):
     cfg = {
@@ -273,7 +321,7 @@ def test_cli_decompose_rejects_format(tmp_path):
     assert not out.exists()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     src = tmp_path / "cos.csv"
     write_cosine_csv(src)
     nan_csv = tmp_path / "nan.csv"
@@ -283,8 +331,12 @@ def test_cli_exit_codes(tmp_path):
     assert main(["decompose", "-i", str(tmp_path / "missing.csv"), "-o", out]) == 4
     # parse error: NaN input
     assert main(["decompose", "-i", str(nan_csv), "-o", out]) == 2
-    # domain error: window out of range
-    assert main(["decompose", "-i", str(src), "-L", "1000", "-o", out]) == 3
+    # domain error: window out of range; a given 0 is out of range too, not the default
+    for argv in (["decompose", "-L", "1000"], ["reconstruct", "-L", "0"],
+                 ["forecast", "-r", "2", "--lrf-window", "0"]):
+        capsys.readouterr()
+        assert main([*argv, "-i", str(src), "-o", out]) == 3
+        assert "WindowOutOfRange" in capsys.readouterr().err
     # parse error: bad group syntax
     assert main(
         ["reconstruct", "-i", str(src), "-L", "20", "--group", "x", "-o", out]
@@ -316,15 +368,3 @@ def test_cli_toeplitz_forecast_warns(tmp_path, capsys):
     )
     assert rc == 0
     assert "warning" in capsys.readouterr().err.lower()
-
-
-def test_signal_model_json(tmp_path):
-    f = np.cos(2 * np.pi * np.arange(40) / 10)
-    z = np.exp(2j * np.pi / 10)
-    model = sl.fit_signal_model(f, sl.PoleSet(np.array([z, z.conjugate()])))
-    p = tmp_path / "model.json"
-    sio.write_signal_model(p, model)
-    doc = json.loads(p.read_text())
-    assert len(doc) == 2
-    assert doc[0]["multiplicity"] == 1
-    assert doc[0]["coefficients"][0][0] == pytest.approx(0.5, abs=1e-8)

@@ -80,8 +80,10 @@ def test_rank_too_large_for_window_is_invalid_spec():
         lambda: sl.mc_point_errors(WN, 40, [WN.n], 2),
         lambda: sl.mc_point_errors(WN, 40, [10], 0),
         lambda: sl.forecast_error_split(WN, 40, 50, 0),
+        lambda: sl.mc_error_surface(WN, [3], 2, "forecast-1-step", eigentriples=3),
     ],
-    ids=["point-negative", "point-N", "points-reps-0", "split-reps-0"],
+    ids=["point-negative", "point-N", "points-reps-0", "split-reps-0",
+         "forecast-eigentriples-L"],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
     def no_replication(*args, **kwargs):
@@ -90,6 +92,13 @@ def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
     monkeypatch.setattr(simlab, "gen_series", no_replication)
     with pytest.raises(InvalidSpec):
         run()
+
+
+@pytest.mark.parametrize("functional", ["reconstruction", "reconstruction-last-10"])
+def test_eigentriples_equal_to_window(functional):
+    # only forecast-1-step's min-norm recurrence needs fewer triples than L
+    surf = sl.mc_error_surface(WN, [3], 2, functional, eigentriples=3)
+    assert np.all(np.isfinite(surf.rmse))
 
 
 def test_functional_aliases_and_unknown():
