@@ -243,6 +243,20 @@ def cmd_simulate(args) -> None:
     sio.write_error_surface_json(str(base) + ".json", surf)
 
 
+def _int_at_least(lo: int):
+    """argparse `type=` for an integer flag that must be >= lo, so a smaller
+    value exits 2 at parse time. Upper limits that depend on the data (a rank
+    of at least L) stay domain errors."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssalab",
@@ -275,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="recurrent forecast of the reconstructed signal")
     common(p)
-    p.add_argument("--rank", "-r", type=int, required=True, help="signal rank")
-    p.add_argument("--steps", type=int, default=1, help="forecast horizon")
+    p.add_argument("--rank", "-r", type=_int_at_least(1), required=True, help="signal rank")
+    p.add_argument("--steps", type=_int_at_least(1), default=1, help="forecast horizon")
     p.add_argument(
         "--lrf-window",
         type=int,
@@ -286,20 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="frequency/damping estimates")
     common(p)
-    p.add_argument("--rank", "-r", type=int, required=True, help="signal rank")
+    p.add_argument("--rank", "-r", type=_int_at_least(1), required=True, help="signal rank")
     p.add_argument(
         "--method",
         required=True,
         choices=("esprit-ls", "esprit-tls", "root-music", "root-minnorm", "minnorm", "music", "ev"),
     )
-    p.add_argument("--gridsize", type=int, default=2048)
+    p.add_argument("--gridsize", type=_int_at_least(2), default=2048)
     p.set_defaults(func=cmd_estimate, input_required=True)
 
     p = sub.add_parser("pseudospectrum", help="emit a pseudospectrum grid")
     common(p)
-    p.add_argument("--rank", "-r", type=int, required=True, help="signal rank")
+    p.add_argument("--rank", "-r", type=_int_at_least(1), required=True, help="signal rank")
     p.add_argument("--method", required=True, choices=("minnorm", "music", "ev"))
-    p.add_argument("--gridsize", type=int, default=2048)
+    p.add_argument("--gridsize", type=_int_at_least(2), default=2048)
     p.set_defaults(func=cmd_pseudospectrum, input_required=True)
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo experiment from a JSON config")

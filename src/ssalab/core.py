@@ -5,6 +5,11 @@ Hankel matrix (K = N - L + 1) whose column j is (f_j, ..., f_{j+L-1}).
 Decomposition is either the plain SVD of that matrix ("basic") or the
 eigendecomposition of the lag-autocovariance Toeplitz matrix ("toeplitz",
 the variant intended for stationary series).
+
+`leading_triples` computes only the leading block of the basic decomposition
+and picks one of three routes by shape: FFT-Lanczos for a large side and a
+small rank, the eigendecomposition of the min(L, K)-sided Gram matrix when its
+spectral gap at the rank is wide enough, and the dense SVD as the fallback.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ class EigentripleSet:
     method: str  # "basic" | "toeplitz"
     L: int
     K: int
+    route: str = "svd"  # "lanczos" | "gram" | "svd": how `leading_triples` computed it
 
     @property
     def count(self) -> int:
@@ -223,10 +229,16 @@ def snr(signal, residual) -> float:
 # The Monte-Carlo experiments decompose thousands of trajectory matrices where
 # only the leading block is needed. Hankel structure makes X v and X^T u
 # plain correlations, so the Gram operator X X^T can be applied through FFTs
-# and fed to a Lanczos solver. Results must agree with `decompose` to within
-# eigenvector conditioning; tests check that on random inputs.
+# and fed to a Lanczos solver. When the smaller side is short (the narrow
+# windows of the red-noise study), forming the small Gram matrix and calling
+# `eigh` is cheaper than both Lanczos and the SVD of the long side. Results
+# must agree with `decompose` to within eigenvector conditioning; tests check
+# that on random inputs.
 
 _LANCZOS_MIN_SIDE = 96
+# The Gram route squares the condition number: its eigenvectors are trusted
+# only when the eigenvalue gap at the rank exceeds this fraction of the largest.
+_GRAM_MIN_GAP = 1e-6
 
 
 def _corr(f: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -234,11 +246,33 @@ def _corr(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     return fftconvolve(f, v[::-1], mode="valid")
 
 
+def _gram_triples(A: np.ndarray, rank: int):
+    """(sigmas, left, right) of the leading `rank` triples of A from the
+    eigendecomposition of A A^T, or None when the Gram overflows or its
+    eigenvalue gap after the rank-th is at most _GRAM_MIN_GAP of the largest."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A @ A.T
+    if not np.all(np.isfinite(G)):  # |f| beyond about 1e154
+        return None
+    lam, Q = np.linalg.eigh(G)
+    lam, Q = lam[::-1], Q[:, ::-1]
+    lam_next = lam[rank] if rank < lam.size else 0.0
+    if not lam[rank - 1] - lam_next > _GRAM_MIN_GAP * lam[0]:
+        return None
+    sig = np.sqrt(lam[:rank])
+    W = Q[:, :rank]
+    return sig, W, A.T @ W / sig
+
+
 def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     """Leading `rank` eigentriples of the basic decomposition of a series.
 
-    Equivalent to decompose(embed(series, L)) truncated to `rank` terms, but
-    computed with an FFT-based Lanczos iteration when the matrix is large.
+    Equivalent to decompose(embed(series, L)) truncated to `rank` terms. The
+    route, recorded on the result, depends on the shape, with m = min(L, K):
+    "lanczos" (an FFT-based Lanczos iteration) when m >= 96 and rank <= m // 4;
+    otherwise "gram", the eigendecomposition of the m x m Gram matrix, when
+    its eigenvalue gap after the rank-th exceeds 1e-6 of the largest; else
+    "svd", the dense SVD. An ARPACK failure falls back to the Gram route.
     """
     f = as_series(series)
     n = f.size
@@ -252,8 +286,8 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     if rank > m:
         raise ValueError(f"rank {rank} exceeds min(L, K) = {m}")
 
-    use_lanczos = m >= _LANCZOS_MIN_SIDE and rank <= m // 4
-    if use_lanczos:
+    route = "lanczos" if m >= _LANCZOS_MIN_SIDE and rank <= m // 4 else "gram"
+    if route == "lanczos":
         def matvec(x):
             x = np.asarray(x, dtype=float).ravel()
             return _corr(f, _corr(f, x))
@@ -263,7 +297,7 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
         try:
             lam, W = eigsh(op, k=rank, which="LA", v0=v0, tol=0)
         except ArpackError:
-            use_lanczos = False
+            route = "gram"
         else:
             order = np.argsort(lam)[::-1]
             lam = lam[order]
@@ -272,13 +306,16 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
             other = np.column_stack([_corr(f, W[:, i]) for i in range(rank)])
             with np.errstate(divide="ignore", invalid="ignore"):
                 other = np.where(sig > 0, other / sig, 0.0)
-    if not use_lanczos:
-        X = embed(f, L)
-        G = X if not wide else X.T
-        U, s, Vt = np.linalg.svd(G, full_matrices=False)
-        sig = s[:rank].copy()
-        W = U[:, :rank].copy()
-        other = Vt[:rank].T.copy()
+    if route == "gram":
+        A = embed(f, L)
+        if wide:
+            A = A.T
+        triples = _gram_triples(A, rank)
+        if triples is None:
+            route = "svd"
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+            triples = s[:rank].copy(), U[:, :rank].copy(), Vt[:rank].T.copy()
+        sig, W, other = triples
 
     if wide:
         U_out, V_out = other, W
@@ -287,7 +324,9 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     U_out = np.ascontiguousarray(U_out)
     V_out = np.ascontiguousarray(V_out)
     _fix_signs(U_out, V_out)
-    return EigentripleSet(sigmas=sig, u=U_out, v=V_out, method="basic", L=L, K=K)
+    return EigentripleSet(
+        sigmas=sig, u=U_out, v=V_out, method="basic", L=L, K=K, route=route
+    )
 
 
 def rank_reconstruction(t: EigentripleSet, indices=None) -> np.ndarray:

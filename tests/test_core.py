@@ -260,9 +260,11 @@ def test_rank_reconstruction_dedupes_indices_like_group_matrix():
 def fast_route_case(draw, shape):
     """(series, L, r): a noisy rank-r signal and a window of the given shape.
 
-    Shapes: L = 2, L = N - 1, tall (L <= K), wide (L > K), and the Lanczos
+    Shapes: L = 2, L = N - 1, tall (L <= K), wide (L > K), the Lanczos
     threshold min(L, K) = 96 with rank = 96 // 4, the largest rank that
-    still takes the FFT-Lanczos route.
+    still takes the FFT-Lanczos route, and narrow: min(L, K) from 2 to 30
+    at N up to 4000, the window of the red-noise convergence study or its
+    wide mirror.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if shape == "threshold":
@@ -270,7 +272,7 @@ def fast_route_case(draw, shape):
         L = draw(st.sampled_from([96, n_points - 95]))
         freqs = (np.arange(12) + 0.5) / 26.0
     else:
-        n_points = draw(st.integers(10, 400))
+        n_points = draw(st.integers(200, 4000) if shape == "narrow" else st.integers(10, 400))
         r = 2 if shape in ("L=2", "L=N-1") else draw(st.sampled_from([2, 4]))
         if shape == "L=2":
             L = 2
@@ -278,6 +280,9 @@ def fast_route_case(draw, shape):
             L = n_points - 1
         elif shape == "tall":
             L = draw(st.integers(r, (n_points + 1) // 2))
+        elif shape == "narrow":
+            m = draw(st.integers(r, 30))
+            L = draw(st.sampled_from([m, n_points - m + 1]))
         else:
             L = draw(st.integers((n_points + 1) // 2 + 1, n_points - r + 1))
         w1 = draw(st.floats(0.05, 0.2))
@@ -296,7 +301,7 @@ def _residual_norm(A, B):
     return float(np.linalg.norm(A - B @ (B.T @ A), 2))
 
 
-@pytest.mark.parametrize("shape", ["L=2", "L=N-1", "tall", "wide", "threshold"])
+@pytest.mark.parametrize("shape", ["L=2", "L=N-1", "tall", "wide", "threshold", "narrow"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_leading_triples_property_matches_dense(shape, data):
@@ -311,3 +316,28 @@ def test_leading_triples_property_matches_dense(shape, data):
     assert _residual_norm(t.v, ets.v[:, :r]) <= 1e-7
     dense = sl.hankelize(sl.group_matrix(ets, range(1, r + 1)))
     assert np.max(np.abs(sl.rank_reconstruction(t) - dense)) <= 1e-9
+
+
+def test_leading_triples_routes():
+    rng = np.random.default_rng(9)
+    for (n_points, L, r), route in [((6399, 20, 2), "gram"), ((1596, 798, 2), "lanczos")]:
+        f = cosine(n_points) + 0.1 * rng.standard_normal(n_points)
+        assert sl.leading_triples(f, L, r).route == route
+    # results of decompose and of an exported decomposition keep the default
+    assert sl.decompose(sl.embed(cosine(50), 20)).route == "svd"
+
+
+def test_leading_triples_gap_guard_falls_back_to_svd():
+    # a noise-free cosine has rank 2: asked for 3 triples, the Gram matrix has
+    # no gap after the third eigenvalue, so the route must be the dense SVD
+    f = cosine(200)
+    t = sl.leading_triples(f, 20, 3)
+    ets = sl.decompose(sl.embed(f, 20))
+    assert (t.route, t.count, ets.count) == ("svd", 3, 2)
+    assert np.max(np.abs(t.sigmas[:2] - ets.sigmas)) <= 1e-9 * ets.sigmas[0]
+    assert _residual_norm(t.u[:, :2], ets.u) <= 1e-7
+    assert _residual_norm(t.v[:, :2], ets.v) <= 1e-7
+    # entries beyond about 1e154 overflow the Gram matrix; the SVD scales
+    big = sl.leading_triples(1e160 * f, 20, 2)
+    assert big.route == "svd"
+    np.testing.assert_allclose(big.sigmas, 1e160 * ets.sigmas, rtol=1e-12)

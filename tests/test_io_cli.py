@@ -346,6 +346,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["estimate", "-i", str(src), "-L", "20", "--rank", "19", "--method", "esprit-ls",
          "-o", out]
     ) == 3
+    # parse error: flag values below their floor are rejected before any computation
+    for argv in (["forecast", "-r", "2", "--steps", "0"], ["forecast", "-r", "2", "--steps", "-1"],
+                 ["forecast", "-r", "0"],
+                 ["estimate", "-r", "2", "--method", "music", "--gridsize", "1"],
+                 ["pseudospectrum", "-r", "2", "--method", "music", "--gridsize", "1"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-i", str(src), "-L", "20", "-o", out])
+        assert exc.value.code == 2
+        assert "must be an integer >=" in capsys.readouterr().err
 
 
 def test_cli_verbose_window_default(tmp_path, capsys):
