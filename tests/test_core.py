@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssalab as sl
+import ssalab.core as core
 from ssalab.errors import IndexOutOfRange, WindowOutOfRange, ZeroResidual
 
 
@@ -260,11 +261,12 @@ def test_rank_reconstruction_dedupes_indices_like_group_matrix():
 def fast_route_case(draw, shape):
     """(series, L, r): a noisy rank-r signal and a window of the given shape.
 
-    Shapes: L = 2, L = N - 1, tall (L <= K), wide (L > K), the Lanczos
+    Shapes: L = 2, L = N - 1, tall (L <= K), wide (L > K), the block-route
     threshold min(L, K) = 96 with rank = 96 // 4, the largest rank that
-    still takes the FFT-Lanczos route, and narrow: min(L, K) from 2 to 30
+    still takes the block subspace iteration, narrow: min(L, K) from 2 to 30
     at N up to 4000, the window of the red-noise convergence study or its
-    wide mirror.
+    wide mirror, and proportional: L = (N + 1) // 2 at N from 399 to 1600,
+    the window of the white-noise convergence study.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if shape == "threshold":
@@ -272,7 +274,8 @@ def fast_route_case(draw, shape):
         L = draw(st.sampled_from([96, n_points - 95]))
         freqs = (np.arange(12) + 0.5) / 26.0
     else:
-        n_points = draw(st.integers(200, 4000) if shape == "narrow" else st.integers(10, 400))
+        sizes = {"narrow": (200, 4000), "proportional": (399, 1600)}.get(shape, (10, 400))
+        n_points = draw(st.integers(*sizes))
         r = 2 if shape in ("L=2", "L=N-1") else draw(st.sampled_from([2, 4]))
         if shape == "L=2":
             L = 2
@@ -283,6 +286,8 @@ def fast_route_case(draw, shape):
         elif shape == "narrow":
             m = draw(st.integers(r, 30))
             L = draw(st.sampled_from([m, n_points - m + 1]))
+        elif shape == "proportional":
+            L = (n_points + 1) // 2
         else:
             L = draw(st.integers((n_points + 1) // 2 + 1, n_points - r + 1))
         w1 = draw(st.floats(0.05, 0.2))
@@ -301,11 +306,13 @@ def _residual_norm(A, B):
     return float(np.linalg.norm(A - B @ (B.T @ A), 2))
 
 
-@pytest.mark.parametrize("shape", ["L=2", "L=N-1", "tall", "wide", "threshold", "narrow"])
+@pytest.mark.parametrize(
+    "shape", ["L=2", "L=N-1", "tall", "wide", "threshold", "narrow", "proportional"]
+)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_leading_triples_property_matches_dense(shape, data):
-    # leading triples only: on noise-free input the trailing Lanczos vectors
+    # leading triples only: on noise-free input the trailing singular vectors
     # for sigma ~ 1e-12 are rounding noise and would not match
     f, L, r = data.draw(fast_route_case(shape))
     t = sl.leading_triples(f, L, r)
@@ -320,7 +327,7 @@ def test_leading_triples_property_matches_dense(shape, data):
 
 def test_leading_triples_routes():
     rng = np.random.default_rng(9)
-    for (n_points, L, r), route in [((6399, 20, 2), "gram"), ((1596, 798, 2), "lanczos")]:
+    for (n_points, L, r), route in [((6399, 20, 2), "gram"), ((1596, 798, 2), "block")]:
         f = cosine(n_points) + 0.1 * rng.standard_normal(n_points)
         assert sl.leading_triples(f, L, r).route == route
     # results of decompose and of an exported decomposition keep the default
@@ -341,3 +348,28 @@ def test_leading_triples_gap_guard_falls_back_to_svd():
     big = sl.leading_triples(1e160 * f, 20, 2)
     assert big.route == "svd"
     np.testing.assert_allclose(big.sigmas, 1e160 * ets.sigmas, rtol=1e-12)
+
+
+def _noisy_cosine(n_points, seed):
+    return cosine(n_points) + 0.1 * np.random.default_rng(seed).standard_normal(n_points)
+
+
+def test_block_route_falls_back_to_gram(monkeypatch):
+    # one pass from the fixed start block cannot meet the residual check, so
+    # the Gram route must take over and still match the dense SVD
+    monkeypatch.setattr(core, "_BLOCK_MAX_PASSES", 1)
+    f = _noisy_cosine(1596, 10)
+    t = sl.leading_triples(f, 798, 2)
+    ets = sl.decompose(sl.embed(f, 798))
+    assert t.route == "gram"
+    assert np.max(np.abs(t.sigmas - ets.sigmas[:2])) <= 1e-9 * ets.sigmas[0]
+    assert _residual_norm(t.u, ets.u[:, :2]) <= 1e-7
+    assert _residual_norm(t.v, ets.v[:, :2]) <= 1e-7
+
+
+def test_block_route_is_deterministic():
+    f = _noisy_cosine(1596, 11)
+    a, b = sl.leading_triples(f, 798, 2), sl.leading_triples(f, 798, 2)
+    assert a.route == b.route == "block"
+    for name in ("sigmas", "u", "v"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

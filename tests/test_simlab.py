@@ -67,6 +67,18 @@ def test_reproducible_across_worker_counts(monkeypatch, run):
     assert _as_bytes(run()) == serial
 
 
+def test_block_route_reproducible_across_worker_counts(monkeypatch):
+    # the block route's fixed start block draws nothing from the replication's
+    # generator, so the pool gives the serial result bit for bit
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    spec = sl.SignalSpec("damped_cos_wn", n=399, b=1.0, sigma=0.1)
+    signal, residual = sl.gen_series(spec, np.random.default_rng(0))
+    assert sl.leading_triples(signal + residual, 200, 2).route == "block"
+    serial = sl.mc_point_errors(spec, 200, [0, 199, 398], 8, master_seed=5, threads=1)
+    pooled = sl.mc_point_errors(spec, 200, [0, 199, 398], 8, master_seed=5, threads=2)
+    assert pooled.tobytes() == serial.tobytes()
+
+
 def test_rank_too_large_for_window_is_invalid_spec():
     # r = 2 needs L > 2; the eigentriples would otherwise fail as a bare ValueError
     with pytest.raises(InvalidSpec, match="r < L"):
