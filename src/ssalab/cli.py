@@ -117,6 +117,8 @@ def cmd_reconstruct(args) -> None:
             ets, mean = sio.read_eigentriples(args.from_decomposition)
         except (ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"{args.from_decomposition}: {exc}") from exc
+    elif not args.input:
+        raise ParseError("reconstruct needs --input or --from-decomposition")
     else:
         f, mean, L = _prepared(args)
         ets = _decomposition(f, L, args.toeplitz)

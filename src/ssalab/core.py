@@ -235,7 +235,10 @@ def snr(signal, residual) -> float:
 # single transform of the series, replace the dense decomposition. When the
 # smaller side is short (the narrow windows of the red-noise study), forming
 # the small Gram matrix and calling `eigh` is cheaper than both the iteration
-# and the SVD of the long side. Results must agree with `decompose` to within
+# and the SVD of the long side. When that side is also long, the same Hankel
+# structure gives the Gram matrix from the series itself: one correlation for
+# its first row and a one-step recurrence down each diagonal, O(m k) instead
+# of the O(m^2 k) product. Results must agree with `decompose` to within
 # eigenvector conditioning; tests check that on random inputs.
 
 _BLOCK_MIN_SIDE = 96
@@ -247,6 +250,12 @@ _BLOCK_RESIDUAL = 1e-10
 # The Gram route squares the condition number: its eigenvectors are trusted
 # only when the eigenvalue gap at the rank exceeds this fraction of the largest.
 _GRAM_MIN_GAP = 1e-6
+# The Gram matrix of an m x k window (m <= k) comes from the series only when
+# k >= 8 m and m k >= 2**15; below either bound the dense product was faster
+# in a sweep over m = 2-600 (2 vCPUs, OpenBLAS), and every shape with N <= 399
+# keeps it.
+_GRAM_SERIES_MIN_ASPECT = 8
+_GRAM_SERIES_MIN_SIZE = 2**15
 
 
 def _block_triples(f: np.ndarray, L: int, rank: int):
@@ -281,12 +290,40 @@ def _block_triples(f: np.ndarray, L: int, rank: int):
     return None
 
 
-def _gram_triples(A: np.ndarray, rank: int):
-    """(sigmas, left, right) of the leading `rank` triples of A from the
-    eigendecomposition of A A^T, or None when the Gram overflows or its
-    eigenvalue gap after the rank-th is at most _GRAM_MIN_GAP of the largest."""
+def _lagged_gram(f: np.ndarray, m: int) -> np.ndarray:
+    """A A^T for the m x k Hankel matrix A of f (k = N - m + 1), in O(m k).
+
+    Row 0 holds the lagged products sum_t f_t f_{t+d}. Down each lag d,
+    G[i+1, i+1+d] = G[i, i+d] - f_i f_{i+d} + f_{i+k} f_{i+k+d}, so one
+    cumsum of those increments gives S[i, d] = G[i, i+d], and reading S at
+    (min(i, j), |i - j|) unskews it.
+    """
+    k = f.size - m + 1
+    lag = np.arange(m)
+    # increments at i + d > m - 2 are never read; clipping keeps them in range
+    idx = np.minimum(lag[:m - 1, None] + lag, m - 2)
+    S = np.empty((m, m))
+    S[0] = np.correlate(f, f[:k], "valid")
+    S[1:] = f[k:k + m - 1, None] * f[idx + k] - f[:m - 1, None] * f[idx]
+    np.cumsum(S, axis=0, out=S)
+    return S.ravel()[np.minimum.outer(lag, lag) * m + np.abs(lag[:, None] - lag)]
+
+
+def _gram_triples(f: np.ndarray, A: np.ndarray, rank: int):
+    """(sigmas, left, right) of the leading `rank` triples of A, the m x k
+    Hankel matrix of f with m <= k, from the eigendecomposition of A A^T, or
+    None when the Gram overflows or its eigenvalue gap after the rank-th is at
+    most _GRAM_MIN_GAP of the largest.
+
+    A long, narrow A has its Gram matrix formed from the series by
+    `_lagged_gram`, any other by the dense product; the right vectors come
+    from A either way."""
+    m, k = A.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        G = A @ A.T
+        if k >= _GRAM_SERIES_MIN_ASPECT * m and m * k >= _GRAM_SERIES_MIN_SIZE:
+            G = _lagged_gram(f, m)
+        else:
+            G = A @ A.T
     if not np.all(np.isfinite(G)):  # |f| beyond about 1e154
         return None
     lam, Q = np.linalg.eigh(G)
@@ -306,8 +343,9 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     route, recorded on the result, depends on the shape, with m = min(L, K):
     "block" (block subspace iteration with FFT Hankel products) when m >= 96
     and rank <= m // 4; otherwise "gram", the eigendecomposition of the m x m
-    Gram matrix, when its eigenvalue gap after the rank-th exceeds 1e-6 of the
-    largest; else "svd", the dense SVD. A block iteration whose residuals do
+    Gram matrix (formed from the series when the other side has k >= 8 m and
+    m k >= 2**15), when its eigenvalue gap after the rank-th exceeds 1e-6 of
+    the largest; else "svd", the dense SVD. A block iteration whose residuals do
     not converge falls back to the Gram route, and so on to the SVD.
     """
     f = as_series(series)
@@ -329,7 +367,7 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
         if wide:
             A = A.T
         route = "gram"
-        triples = _gram_triples(A, rank)
+        triples = _gram_triples(f, A, rank)
         if triples is None:
             route = "svd"
             U, s, Vt = np.linalg.svd(A, full_matrices=False)

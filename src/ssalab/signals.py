@@ -186,11 +186,19 @@ def residual_values(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
     return _CATALOG[spec.kind].residual(spec, rng, np.arange(spec.n, dtype=float))
 
 
+@lru_cache(maxsize=32)
+def _signal_cached(spec: SignalSpec) -> np.ndarray:
+    return signal_values(spec)
+
+
 def gen_series(spec: SignalSpec, rng=None) -> tuple[np.ndarray, np.ndarray]:
-    """Generate (signal, residual); their sum is the observed series."""
+    """Generate (signal, residual); their sum is the observed series.
+
+    The signal is computed once per spec and each call gets its own copy.
+    """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return signal_values(spec), residual_values(spec, rng)
+    return _signal_cached(spec).copy(), residual_values(spec, rng)
 
 
 def exact_rank(spec: SignalSpec) -> Optional[int]:

@@ -264,9 +264,10 @@ def fast_route_case(draw, shape):
     Shapes: L = 2, L = N - 1, tall (L <= K), wide (L > K), the block-route
     threshold min(L, K) = 96 with rank = 96 // 4, the largest rank that
     still takes the block subspace iteration, narrow: min(L, K) from 2 to 30
-    at N up to 4000, the window of the red-noise convergence study or its
-    wide mirror, and proportional: L = (N + 1) // 2 at N from 399 to 1600,
-    the window of the white-noise convergence study.
+    at N up to 26000, the window of the red-noise convergence study or its
+    wide mirror (the long ones form the Gram matrix from the series), and
+    proportional: L = (N + 1) // 2 at N from 399 to 1600, the window of the
+    white-noise convergence study.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if shape == "threshold":
@@ -274,7 +275,7 @@ def fast_route_case(draw, shape):
         L = draw(st.sampled_from([96, n_points - 95]))
         freqs = (np.arange(12) + 0.5) / 26.0
     else:
-        sizes = {"narrow": (200, 4000), "proportional": (399, 1600)}.get(shape, (10, 400))
+        sizes = {"narrow": (200, 26000), "proportional": (399, 1600)}.get(shape, (10, 400))
         n_points = draw(st.integers(*sizes))
         r = 2 if shape in ("L=2", "L=N-1") else draw(st.sampled_from([2, 4]))
         if shape == "L=2":
@@ -344,14 +345,53 @@ def test_leading_triples_gap_guard_falls_back_to_svd():
     assert np.max(np.abs(t.sigmas[:2] - ets.sigmas)) <= 1e-9 * ets.sigmas[0]
     assert _residual_norm(t.u[:, :2], ets.u) <= 1e-7
     assert _residual_norm(t.v[:, :2], ets.v) <= 1e-7
-    # entries beyond about 1e154 overflow the Gram matrix; the SVD scales
-    big = sl.leading_triples(1e160 * f, 20, 2)
-    assert big.route == "svd"
-    np.testing.assert_allclose(big.sigmas, 1e160 * ets.sigmas, rtol=1e-12)
+    # entries beyond about 1e154 overflow the Gram matrix, whether formed by
+    # the dense product or from the series; the SVD scales
+    for n_points in (200, 25596):
+        f = cosine(n_points)
+        big = sl.leading_triples(1e160 * f, 20, 2)
+        assert big.route == "svd"
+        np.testing.assert_allclose(
+            big.sigmas, 1e160 * sl.decompose(sl.embed(f, 20)).sigmas[:2], rtol=1e-12
+        )
 
 
 def _noisy_cosine(n_points, seed):
     return cosine(n_points) + 0.1 * np.random.default_rng(seed).standard_normal(n_points)
+
+
+def test_lagged_gram_matches_dense_product():
+    # random tall and wide windows from m = 2, on both sides of the rule that
+    # picks the series form in _gram_triples
+    rng = np.random.default_rng(12)
+    picked = set()
+    for _ in range(200):
+        n_points = int(rng.integers(4, 1500))
+        L = int(rng.integers(2, n_points))
+        f = rng.standard_normal(n_points)
+        A = sl.embed(f, L)
+        if L > A.shape[1]:  # wide window: the Gram side is the transpose
+            A = A.T
+        m, k = A.shape
+        picked.add(k >= core._GRAM_SERIES_MIN_ASPECT * m and m * k >= core._GRAM_SERIES_MIN_SIZE)
+        G = A @ A.T
+        assert np.max(np.abs(core._lagged_gram(f, m) - G)) <= 1e-14 * np.max(np.abs(G))
+    assert picked == {True, False}
+
+
+def test_gram_route_forms_long_narrow_gram_from_series(monkeypatch):
+    calls = []
+    lagged = core._lagged_gram
+    monkeypatch.setattr(core, "_lagged_gram", lambda f, m: calls.append(m) or lagged(f, m))
+    # one block pass cannot converge, so 1596/798 reaches the Gram route
+    monkeypatch.setattr(core, "_BLOCK_MAX_PASSES", 1)
+    for (n_points, L), from_series in [
+        ((6399, 20), True), ((25596, 20), True), ((6399, 6380), True),
+        ((1596, 798), False), ((100, 50), False),
+    ]:
+        calls.clear()
+        assert sl.leading_triples(_noisy_cosine(n_points, 13), L, 2).route == "gram"
+        assert calls == ([20] if from_series else [])
 
 
 def test_block_route_falls_back_to_gram(monkeypatch):

@@ -337,6 +337,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "-i", str(src), "-o", out]) == 3
         assert "WindowOutOfRange" in capsys.readouterr().err
+    # parse error: reconstruct with neither --input nor --from-decomposition
+    capsys.readouterr()
+    assert main(["reconstruct", "-o", out]) == 2
+    assert "--from-decomposition" in capsys.readouterr().err
     # parse error: bad group syntax
     assert main(
         ["reconstruct", "-i", str(src), "-L", "20", "--group", "x", "-o", out]

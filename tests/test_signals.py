@@ -3,6 +3,7 @@ import pytest
 
 import ssalab as sl
 from ssalab.errors import InvalidSpec
+from ssalab.signals import residual_values
 
 
 def test_const_saw_values():
@@ -107,3 +108,23 @@ def test_custom_kind():
     assert np.all(r == 0)
     assert sl.exact_rank(spec) == 1
     np.testing.assert_allclose(sl.true_poles(spec).poles, [0.9 + 0j])
+
+
+def test_gen_series_signal_is_a_fresh_copy_of_the_closed_form():
+    # the signal is computed once per spec; every call still gets its own array
+    specs = (
+        sl.SignalSpec("damped_cos_rn", n=500, b=0.999, sigma=0.1, alpha=0.5),
+        sl.SignalSpec("custom", n=40, custom_signal=lambda n: 3.0 * 0.9**n, custom_rank=1),
+    )
+    for spec in specs:
+        a, ra = sl.gen_series(spec, 5)
+        b, _ = sl.gen_series(spec, 6)
+        for s in (a, b):
+            np.testing.assert_array_equal(s, sl.signal_values(spec))
+            assert s.flags.writeable
+        assert not np.shares_memory(a, b)
+        # the residual draw is untouched by the cache
+        np.testing.assert_array_equal(ra, residual_values(spec, np.random.default_rng(5)))
+        a[:] = 0.0
+        c, _ = sl.gen_series(spec, 7)
+        np.testing.assert_array_equal(c, sl.signal_values(spec))
