@@ -14,7 +14,6 @@ from .core import (
     leading_triples,
     rank_reconstruction,
     reconstruct,
-    snr,
 )
 from .errors import SsaError
 from .estimate import (
@@ -28,7 +27,6 @@ from .estimate import (
     music_alignment,
     pair_frequencies,
     poles_to_params,
-    pooled_roots,
     pseudospectrum_minnorm,
     pseudospectrum_music,
     root_min_norm,
@@ -41,7 +39,6 @@ from .forecast import (
     characteristic_roots,
     companion_matrix,
     fit_signal_model,
-    forward_backward_root_pair,
     min_norm_lrf,
     recurrent_forecast,
 )
@@ -75,7 +72,6 @@ from .simlab import (
 from .subspace import (
     SubspaceBasis,
     noise_complement,
-    projector,
     signal_basis,
     subspace_distance,
 )

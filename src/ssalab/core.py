@@ -23,12 +23,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import hankel, toeplitz
 from scipy.signal import fftconvolve
 
-from .errors import (
-    DecompositionFailed,
-    IndexOutOfRange,
-    WindowOutOfRange,
-    ZeroResidual,
-)
+from .errors import DecompositionFailed, IndexOutOfRange, WindowOutOfRange
 
 DEFAULT_SIGMA_CUTOFF = 1e-12
 
@@ -90,13 +85,14 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
     if U.size == 0:
         return
     idx = np.argmax(np.abs(U), axis=0)
-    signs = np.where(U[idx, np.arange(U.shape[1])] < 0, -1.0, 1.0)
-    U *= signs
-    V *= signs
+    # negating whole columns avoids a length-r inner loop on (K, r) arrays
+    for j in np.flatnonzero(U[idx, np.arange(U.shape[1])] < 0):
+        U[:, j] *= -1.0
+        V[:, j] *= -1.0
 
 
-def decompose(X: np.ndarray, rel_cutoff: float = DEFAULT_SIGMA_CUTOFF) -> EigentripleSet:
-    """SVD of a trajectory matrix, keeping triples with sigma > rel_cutoff * sigma_1.
+def decompose(X: np.ndarray) -> EigentripleSet:
+    """SVD of a trajectory matrix, keeping triples with sigma > 1e-12 sigma_1.
 
     Columns are sign-normalized so outputs are reproducible across runs and
     backends; sigmas come out nonincreasing.
@@ -109,7 +105,7 @@ def decompose(X: np.ndarray, rel_cutoff: float = DEFAULT_SIGMA_CUTOFF) -> Eigent
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailed(f"SVD backend failed: {exc}") from exc
     V = Vt.T
-    keep = s > (rel_cutoff * s[0] if s.size else 0.0)
+    keep = s > (DEFAULT_SIGMA_CUTOFF * s[0] if s.size else 0.0)
     d = int(np.count_nonzero(keep))
     U, s, V = U[:, :d].copy(), s[:d].copy(), V[:, :d].copy()
     _fix_signs(U, V)
@@ -127,9 +123,7 @@ def lag_covariance_matrix(series, L: int) -> np.ndarray:
     return toeplitz(first_row)
 
 
-def decompose_toeplitz(
-    series, L: int, rel_cutoff: float = DEFAULT_SIGMA_CUTOFF
-) -> EigentripleSet:
+def decompose_toeplitz(series, L: int) -> EigentripleSet:
     """Toeplitz-variant decomposition for stationary series.
 
     Eigenvectors of the lag covariance matrix play the role of the left
@@ -149,7 +143,7 @@ def decompose_toeplitz(
     sigmas = sigmas[order]
     U = U[:, order]
     proj = proj[:, order]
-    keep = sigmas > (rel_cutoff * sigmas[0] if sigmas.size else 0.0)
+    keep = sigmas > (DEFAULT_SIGMA_CUTOFF * sigmas[0] if sigmas.size else 0.0)
     d = int(np.count_nonzero(keep))
     U, sigmas, proj = U[:, :d].copy(), sigmas[:d].copy(), proj[:, :d]
     V = proj / sigmas
@@ -212,18 +206,6 @@ def center(series) -> tuple[np.ndarray, float]:
     f = as_series(series)
     mean = float(f.mean())
     return f - mean, mean
-
-
-def snr(signal, residual) -> float:
-    """Mean squared signal over mean squared residual."""
-    s = np.asarray(signal, dtype=float)
-    r = np.asarray(residual, dtype=float)
-    if s.shape != r.shape:
-        raise ValueError(f"signal and residual lengths differ: {s.shape} vs {r.shape}")
-    denom = float(np.mean(r**2))
-    if denom == 0.0:
-        raise ZeroResidual("residual is identically zero, SNR undefined")
-    return float(np.mean(s**2)) / denom
 
 
 # -- fast truncated decomposition -------------------------------------------

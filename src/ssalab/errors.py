@@ -21,10 +21,6 @@ class IndexOutOfRange(SsaError):
     """Index outside the retained eigentriples."""
 
 
-class ZeroResidual(SsaError):
-    """SNR undefined for an identically zero residual."""
-
-
 class RankTooLarge(SsaError):
     """Requested subspace dimension exceeds the retained triples."""
 

@@ -26,7 +26,7 @@ from .subspace import basis_matrix
 
 DEFAULT_GRIDSIZE = 2048
 UNIT_CIRCLE_SLACK = 1e-9
-ROOT_DEDUP_TOL = 1e-8
+CONJUGATE_PAIR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def poles_to_params(ps: PoleSet) -> ParamEstimates:
     )
 
 
-def pair_frequencies(ps: PoleSet, tol: float = 1e-9) -> np.ndarray:
+def pair_frequencies(ps: PoleSet) -> np.ndarray:
     """Nonnegative frequencies with conjugate partners collapsed, sorted ascending."""
     freqs = []
     used = np.zeros(ps.poles.size, dtype=bool)
@@ -107,7 +107,7 @@ def pair_frequencies(ps: PoleSet, tol: float = 1e-9) -> np.ndarray:
         if used[i]:
             continue
         used[i] = True
-        partners = np.where(~used & (np.abs(ps.poles - z.conjugate()) <= tol))[0]
+        partners = np.where(~used & (np.abs(ps.poles - z.conjugate()) <= CONJUGATE_PAIR_TOL))[0]
         if partners.size:
             used[partners[0]] = True
         freqs.append(abs(np.angle(z)) / (2.0 * np.pi))
@@ -235,7 +235,7 @@ def root_music(noise_basis, r: int) -> PoleSet:
     coeffs = root_music_polynomial(noise_basis)
     roots = np.roots(coeffs[::-1])
     inside = roots[np.abs(roots) <= 1.0 + UNIT_CIRCLE_SLACK]
-    merged = PoleSet.from_roots(inside, merge_tol=ROOT_DEDUP_TOL).poles
+    merged = PoleSet.from_roots(inside).poles
     return _closest_to_circle(merged, int(r), "unit-circle root")
 
 
@@ -244,27 +244,6 @@ def root_min_norm(lrf: LinearRecurrence, r: int) -> PoleSet:
     ps = characteristic_roots(lrf)
     expanded = np.repeat(ps.poles, ps.multiplicities)
     return _closest_to_circle(expanded, int(r), "characteristic root")
-
-
-def pooled_roots(complement_vectors) -> PoleSet:
-    """Pool characteristic roots of recurrences read off complement vectors.
-
-    Each vector with a nonzero last coordinate is rescaled to end in -1 and
-    interpreted as recurrence coefficients. Signal roots recur across vectors
-    while extraneous ones scatter; no clustering is applied here, the pooled
-    set is exposed as experimental raw material.
-    """
-    all_roots = []
-    for vec in complement_vectors:
-        a = np.asarray(vec, dtype=float).ravel()
-        if a.size < 2 or a[-1] == 0:
-            raise ValueError("complement vectors need length >= 2 and nonzero last coordinate")
-        coeffs = (-a / a[-1])[:-1]
-        ps = characteristic_roots(LinearRecurrence(coeffs=coeffs))
-        all_roots.append(np.repeat(ps.poles, ps.multiplicities))
-    if not all_roots:
-        raise ValueError("need at least one complement vector")
-    return PoleSet(np.concatenate(all_roots))
 
 
 def find_peaks(ps: Pseudospectrum, count: int) -> np.ndarray:

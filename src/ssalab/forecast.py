@@ -31,14 +31,13 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class LinearRecurrence:
-    """Recurrence coefficients (a_{L-1}, ..., a_1) plus direction and diagnostics.
+    """Forward recurrence coefficients (a_{L-1}, ..., a_1) plus diagnostics.
 
     `nu2` is the squared norm of the basis edge coordinates used by the
     min-norm construction; 0 for hand-built recurrences.
     """
 
     coeffs: np.ndarray
-    direction: str = "forward"
     nu2: float = 0.0
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class LinearRecurrence:
             raise ValueError("coefficients must form a nonempty 1-D array")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
         if not 0.0 <= self.nu2 < 1.0:
             raise ValueError(f"nu2 must lie in [0, 1), got {self.nu2}")
         object.__setattr__(self, "coeffs", c)
@@ -81,8 +78,8 @@ class PoleSet:
         return int(self.multiplicities.sum())
 
     @staticmethod
-    def from_roots(roots, merge_tol: float = ROOT_MERGE_TOL) -> "PoleSet":
-        """Treat roots as simple, merging any pair closer than merge_tol.
+    def from_roots(roots) -> "PoleSet":
+        """Treat roots as simple, merging any pair closer than ROOT_MERGE_TOL.
 
         Merged clusters become one pole (the cluster mean) with raised
         multiplicity; exact multiple roots never survive floating point, so
@@ -95,7 +92,7 @@ class PoleSet:
         for z in r[order]:
             placed = False
             for i, c in enumerate(centers):
-                if abs(z - c) <= merge_tol:
+                if abs(z - c) <= ROOT_MERGE_TOL:
                     centers[i] = (c * counts[i] + z) / (counts[i] + 1)
                     counts[i] += 1
                     placed = True
@@ -106,49 +103,36 @@ class PoleSet:
         return PoleSet(np.array(centers), np.array(counts))
 
 
-def min_norm_lrf(B, direction: str = "forward") -> LinearRecurrence:
-    """Minimum-norm recurrence read off an orthonormal signal-subspace basis.
+def min_norm_lrf(B) -> LinearRecurrence:
+    """Minimum-norm forward recurrence read off an orthonormal signal-subspace basis.
 
-    Forward: coefficients are the normalized projection of the last
-    coordinate axis onto the orthogonal complement of the subspace; backward
-    mirrors with the first axis. Raises VerticalSubspace when the subspace
-    (nearly) contains that axis, i.e. nu2 approaches 1.
+    Coefficients are the normalized projection of the last coordinate axis
+    onto the orthogonal complement of the subspace; the backward recurrence
+    is the forward one of the row-reversed basis, min_norm_lrf(B[::-1]).
+    Raises VerticalSubspace when the subspace (nearly) contains that axis,
+    i.e. nu2 approaches 1.
     """
     M = basis_matrix(B)
     gram = M.T @ M
     if np.max(np.abs(gram - np.eye(M.shape[1]))) > 1e-8:
         raise ValueError("min-norm recurrence needs an orthonormal basis")
-    if direction == "forward":
-        pi = M[-1, :]
-        body = M[:-1, :]
-    elif direction == "backward":
-        pi = M[0, :]
-        body = M[1:, :]
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    pi = M[-1, :]
     nu2 = float(pi @ pi)
     if nu2 >= 1.0 - VERTICALITY_EPS:
         raise VerticalSubspace(
             f"subspace is vertical (nu2 = {nu2:.3g} >= 1 - {VERTICALITY_EPS:g}); "
             "min-norm prediction undefined"
         )
-    coeffs = (body @ pi) / (1.0 - nu2)
-    if direction == "backward":
-        coeffs = coeffs[::-1]
-    return LinearRecurrence(coeffs=coeffs, direction=direction, nu2=nu2)
+    return LinearRecurrence(coeffs=(M[:-1, :] @ pi) / (1.0 - nu2), nu2=nu2)
 
 
-def recurrent_forecast(
-    seed, lrf: LinearRecurrence, steps: int, divergence_bound: float = DIVERGENCE_BOUND
-) -> np.ndarray:
-    """Iterate a forward recurrence from the seed window; returns the new values.
+def recurrent_forecast(seed, lrf: LinearRecurrence, steps: int) -> np.ndarray:
+    """Iterate a recurrence from the seed window; returns the new values.
 
     `seed` holds the last order-many values in chronological order. Values
-    exceeding `divergence_bound` in magnitude raise ForecastDiverged, the
+    exceeding DIVERGENCE_BOUND in magnitude raise ForecastDiverged, the
     symptom of extraneous roots escaping the unit circle.
     """
-    if lrf.direction != "forward":
-        raise ValueError("recurrent forecast needs a forward recurrence")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     window = np.asarray(seed, dtype=float).ravel()
@@ -158,9 +142,9 @@ def recurrent_forecast(
     buf = window.copy()
     for m in range(steps):
         val = float(lrf.coeffs @ buf)
-        if not np.isfinite(val) or abs(val) > divergence_bound:
+        if not np.isfinite(val) or abs(val) > DIVERGENCE_BOUND:
             raise ForecastDiverged(
-                f"forecast value |{val:.3g}| exceeded bound {divergence_bound:.3g} at step {m + 1}"
+                f"forecast value |{val:.3g}| exceeded bound {DIVERGENCE_BOUND:.3g} at step {m + 1}"
             )
         out[m] = val
         buf[:-1] = buf[1:]
@@ -184,14 +168,6 @@ def characteristic_roots(lrf: LinearRecurrence) -> PoleSet:
         raise AllZeroCoefficients("all recurrence coefficients are zero")
     roots = np.linalg.eigvals(companion_matrix(lrf))
     return PoleSet.from_roots(roots)
-
-
-def forward_backward_root_pair(z: complex) -> complex:
-    """Partner root under the forward/backward prediction correspondence."""
-    z = complex(z)
-    if z == 0:
-        raise ZeroPole("zero has no forward/backward partner root")
-    return z.conjugate() / abs(z) ** 2
 
 
 @dataclass(frozen=True)

@@ -46,23 +46,22 @@ class SignalSpec:
     c: float = 0.1
     sigma: float = 0.1
     alpha: float = 0.5
-    custom_signal: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    custom_rank: Optional[int] = None
-    custom_poles: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in _CATALOG:
             raise InvalidSpec(f"unknown signal kind {self.kind!r}")
         if self.n < 3:
             raise InvalidSpec(f"series length must be >= 3, got {self.n}")
+        for name in ("b", "c", "sigma"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvalidSpec(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise InvalidSpec(f"sigma must be >= 0, got {self.sigma}")
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidSpec(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.b <= 0:
             raise InvalidSpec(f"base b must be > 0, got {self.b}")
-        if self.kind == "custom" and self.custom_signal is None:
-            raise InvalidSpec("custom kind needs a custom_signal callable")
 
     @property
     def noise_family(self) -> Optional[str]:
@@ -162,15 +161,6 @@ _CATALOG = {
         "white",
         lambda spec: 1,
         lambda spec: np.array([spec.b + 0.0j]),
-    ),
-    "custom": _Kind(
-        lambda spec, n: np.asarray(spec.custom_signal(n), dtype=float),
-        _white,
-        "white",
-        lambda spec: spec.custom_rank,
-        lambda spec: None
-        if spec.custom_poles is None
-        else np.asarray(spec.custom_poles, dtype=complex),
     ),
 }
 

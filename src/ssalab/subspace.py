@@ -1,4 +1,4 @@
-"""Signal-subspace bases, projectors, and the largest-principal-angle distance."""
+"""Signal-subspace bases, noise complements, and the largest-principal-angle distance."""
 
 from __future__ import annotations
 
@@ -56,12 +56,6 @@ def signal_basis(ets: EigentripleSet, r: int) -> SubspaceBasis:
     if not 1 <= r <= d:
         raise RankTooLarge(f"rank r={r} outside 1..{d} retained triples")
     return SubspaceBasis(ets.u[:, :r].copy())
-
-
-def projector(B) -> np.ndarray:
-    """Orthogonal projector B B^T onto the spanned subspace."""
-    M = basis_matrix(B)
-    return M @ M.T
 
 
 def noise_complement(B) -> np.ndarray:

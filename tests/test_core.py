@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import ssalab as sl
 import ssalab.core as core
-from ssalab.errors import IndexOutOfRange, WindowOutOfRange, ZeroResidual
+from ssalab.errors import IndexOutOfRange, WindowOutOfRange
 
 
 def cosine(n_points, period=10.0, b=1.0):
@@ -211,14 +211,6 @@ def test_center_whole_period_sinusoid():
     out, mean = sl.center(f)
     assert abs(mean) <= 1e-12 * np.max(np.abs(f))
     np.testing.assert_allclose(out, f, atol=1e-12)
-
-
-def test_snr_values():
-    f = cosine(100)
-    assert sl.snr(f, f) == pytest.approx(1.0)
-    assert sl.snr(f, np.full(100, 0.1)) == pytest.approx(50.0)
-    with pytest.raises(ZeroResidual):
-        sl.snr(f, np.zeros(100))
 
 
 # -- fast truncated path --------------------------------------------------------

@@ -220,13 +220,6 @@ def test_root_min_norm_too_few():
         sl.root_min_norm(sl.LinearRecurrence(coeffs=[2.0]), 2)
 
 
-def test_pooled_roots_contains_signal_roots():
-    B = cos_basis()
-    comp = sl.noise_complement(B)
-    ps = sl.pooled_roots([comp[:, i] for i in range(3)])
-    assert pole_error(ps.poles, [TRUE_POLE, TRUE_POLE.conjugate()]) <= 1e-6
-
-
 # -- peak finding ------------------------------------------------------------------
 
 

@@ -68,7 +68,7 @@ def test_invalid_specs():
     with pytest.raises(InvalidSpec):
         sl.SignalSpec("damped_cos_wn", n=10, b=0.0)
     with pytest.raises(InvalidSpec):
-        sl.SignalSpec("custom", n=10)
+        sl.SignalSpec("damped_cos_wn", n=10, sigma=float("nan"))
 
 
 def test_true_poles_and_rank():
@@ -94,27 +94,11 @@ def test_exact_basis_spans_signal_space():
     assert np.linalg.norm(proj - X) <= 1e-10 * np.linalg.norm(X)
 
 
-def test_custom_kind():
-    spec = sl.SignalSpec(
-        "custom",
-        n=40,
-        sigma=0.0,
-        custom_signal=lambda n: 3.0 * 0.9**n,
-        custom_rank=1,
-        custom_poles=(0.9 + 0j,),
-    )
-    s, r = sl.gen_series(spec, 0)
-    np.testing.assert_allclose(s, 3.0 * 0.9 ** np.arange(40))
-    assert np.all(r == 0)
-    assert sl.exact_rank(spec) == 1
-    np.testing.assert_allclose(sl.true_poles(spec).poles, [0.9 + 0j])
-
-
 def test_gen_series_signal_is_a_fresh_copy_of_the_closed_form():
     # the signal is computed once per spec; every call still gets its own array
     specs = (
         sl.SignalSpec("damped_cos_rn", n=500, b=0.999, sigma=0.1, alpha=0.5),
-        sl.SignalSpec("custom", n=40, custom_signal=lambda n: 3.0 * 0.9**n, custom_rank=1),
+        sl.SignalSpec("exp_trend", n=40, b=0.9),
     )
     for spec in specs:
         a, ra = sl.gen_series(spec, 5)

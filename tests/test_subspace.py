@@ -79,17 +79,6 @@ def test_basis_requires_orthonormal_columns():
         sl.SubspaceBasis(np.eye(3))  # r == L not allowed
 
 
-def test_projector_examples():
-    e1 = np.array([[1.0], [0.0]])
-    np.testing.assert_allclose(sl.projector(e1), [[1, 0], [0, 0]], atol=1e-15)
-    rng = np.random.default_rng(0)
-    B = random_basis(rng, 12, 4)
-    P = sl.projector(B)
-    assert abs(np.trace(P) - 4) <= 1e-10
-    np.testing.assert_allclose(P, P.T, atol=1e-10)
-    np.testing.assert_allclose(P @ P, P, atol=1e-8)
-
-
 def test_distance_identical_and_45_degrees():
     A = np.array([[1.0], [0.0]])
     B = np.array([[1.0], [1.0]]) / np.sqrt(2)
