@@ -17,11 +17,11 @@ hands over to the next one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import hankel, toeplitz
-from scipy.signal import fftconvolve
 
 from .errors import DecompositionFailed, IndexOutOfRange, WindowOutOfRange
 
@@ -171,7 +171,8 @@ def group_matrix(ets: EigentripleSet, indices) -> np.ndarray:
 
 def diagonal_counts(L: int, K: int) -> np.ndarray:
     """Number of matrix entries on each antidiagonal i + j = const."""
-    return np.convolve(np.ones(L), np.ones(K))
+    i = np.arange(1.0, L + K)
+    return np.minimum(np.minimum(i, i[::-1]), min(L, K))
 
 
 def hankelize(M: np.ndarray) -> np.ndarray:
@@ -220,15 +221,26 @@ def center(series) -> tuple[np.ndarray, float]:
 # and the SVD of the long side. When that side is also long, the same Hankel
 # structure gives the Gram matrix from the series itself: one correlation for
 # its first row and a one-step recurrence down each diagonal, O(m k) instead
-# of the O(m^2 k) product. Results must agree with `decompose` to within
-# eigenvector conditioning; tests check that on random inputs.
+# of the O(m^2 k) product. The iteration's own Ritz values tell how many
+# passes it needs, so after its second pass it hands a slow series (low SNR,
+# pure noise) to the Gram route rather than running on. Results must agree
+# with `decompose` to within eigenvector conditioning; tests check that on
+# random inputs. Diagonal averaging of the leading triples is their weighted
+# sum of convolutions, formed with one transform for all of them.
 
 _BLOCK_MIN_SIDE = 96
 # Passes before the block iteration gives up and the Gram route takes over;
-# the series of the test suite and the checked-in configs converge in 4-27.
+# the series of the test suite that stay on the block route converge in 4-17.
 _BLOCK_MAX_PASSES = 50
 # Every residual ||X v_i - sigma_i u_i|| must fall to this fraction of sigma_1.
 _BLOCK_RESIDUAL = 1e-10
+# After its second pass the iteration forecasts the passes it still needs
+# from the ratio of its last and rank-th Ritz values, and hands over to the
+# Gram route when they exceed min(L, K) / 16: in a sweep over m = 96-800,
+# rank 1-8 and noise sigma 0.1-1 (2 vCPUs, OpenBLAS) the Gram route cost
+# 5-10 passes at m = 100, 12-32 at m = 200 and 51-429 at m = 800, so m / 16
+# is the low edge of that cost.
+_BLOCK_BUDGET_DIVISOR = 16
 # The Gram route squares the condition number: its eigenvectors are trusted
 # only when the eigenvalue gap at the rank exceeds this fraction of the largest.
 _GRAM_MIN_GAP = 1e-6
@@ -240,13 +252,36 @@ _GRAM_SERIES_MIN_ASPECT = 8
 _GRAM_SERIES_MIN_SIZE = 2**15
 
 
+@lru_cache(maxsize=32)
+def _start_block(L: int, b: int) -> np.ndarray:
+    """Read-only orthonormal L x b start block of the block iteration.
+
+    It comes from a fixed seed, so no replication's generator is touched and
+    a shape always starts from the same block; it is built once per shape.
+    """
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((L, b)))
+    Q.flags.writeable = False
+    return Q
+
+
 def _block_triples(f: np.ndarray, L: int, rank: int):
     """(sigmas, u, v) of the leading `rank` triples of embed(f, L) by block
-    subspace iteration with Rayleigh-Ritz, or None when some residual is still
-    above _BLOCK_RESIDUAL * sigma_1 after _BLOCK_MAX_PASSES passes.
+    subspace iteration with Rayleigh-Ritz, or None when the second pass
+    forecasts more passes than the Gram route costs or finds sigma_r at
+    rounding level, or some residual is still above _BLOCK_RESIDUAL * sigma_1
+    after _BLOCK_MAX_PASSES passes.
 
     (X B)_i = sum_j f_{i+j} B_j is a correlation; a circular one of length
     P >= N wraps no term of the rows kept, so one transform of f serves all.
+
+    Each pass shrinks the residual by about (s_b / s_r)^2, s_b the last of
+    the b = rank + 2 Ritz values, so log(_BLOCK_RESIDUAL) / (2 log(s_b / s_r))
+    passes remain. That exceeds the budget m / _BLOCK_BUDGET_DIVISOR exactly
+    when s_b >= s_r * _BLOCK_RESIDUAL ** (1 / (2 budget)), which also covers
+    s_b = s_r. The forecast waits for the second pass: the first one's
+    values come from the random start block, not from range(X). A rank-th
+    value at most DEFAULT_SIGMA_CUTOFF of the first is rounding noise, which
+    `decompose` would drop; the residual check divides by it and cannot pass.
     """
     n = f.size
     K = n - L + 1
@@ -256,18 +291,21 @@ def _block_triples(f: np.ndarray, L: int, rank: int):
     def corr(B, rows):
         return irfft(F * np.conj(rfft(B, P, axis=0)), P, axis=0)[:rows]
 
-    # fixed start block: the replication's generator is not touched
-    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((L, rank + 2)))
-    for _ in range(_BLOCK_MAX_PASSES):
+    max_ratio = _BLOCK_RESIDUAL ** (_BLOCK_BUDGET_DIVISOR / (2.0 * min(L, K)))
+    Q = _start_block(L, rank + 2)
+    for p in range(_BLOCK_MAX_PASSES):
         Z = corr(Q, K)  # X^T Q
         W, s, Ht = np.linalg.svd(Z, full_matrices=False)  # Q^T X = H diag(s) W^T
+        s_r = s[rank - 1]
+        if p == 1 and (s[-1] >= max_ratio * s_r or s_r <= DEFAULT_SIGMA_CUTOFF * s[0]):
+            return None
         Y = corr(Z, L)  # X Z, the next iterate
         H = Ht[:rank].T
         U = Q @ H
-        with np.errstate(divide="ignore", invalid="ignore"):
+        if s_r > 0:
             res = np.linalg.norm(Y @ H / s[:rank] - U * s[:rank], axis=0)  # X W = X Z H / s
-        if np.all(res <= _BLOCK_RESIDUAL * s[0]):
-            return s[:rank], U, W[:, :rank]
+            if np.all(res <= _BLOCK_RESIDUAL * s[0]):
+                return s[:rank], U, W[:, :rank]
         Q, _ = np.linalg.qr(Y)
     return None
 
@@ -315,7 +353,7 @@ def _gram_triples(f: np.ndarray, A: np.ndarray, rank: int):
         return None
     sig = np.sqrt(lam[:rank])
     W = Q[:, :rank]
-    return sig, W, A.T @ W / sig
+    return sig, W, (W.T @ A).T / sig
 
 
 def leading_triples(series, L: int, rank: int) -> EigentripleSet:
@@ -327,8 +365,11 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     and rank <= m // 4; otherwise "gram", the eigendecomposition of the m x m
     Gram matrix (formed from the series when the other side has k >= 8 m and
     m k >= 2**15), when its eigenvalue gap after the rank-th exceeds 1e-6 of
-    the largest; else "svd", the dense SVD. A block iteration whose residuals do
-    not converge falls back to the Gram route, and so on to the SVD.
+    the largest; else "svd", the dense SVD. A block iteration falls back to
+    the Gram route, and so on to the SVD, when after its second pass it
+    forecasts more than m / 16 further passes (about the Gram route's cost) or
+    finds sigma_rank at rounding level, or when its residuals do not converge
+    in 50 passes.
     """
     f = as_series(series)
     n = f.size
@@ -366,13 +407,16 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
 
 
 def rank_reconstruction(t: EigentripleSet, indices=None) -> np.ndarray:
-    """Diagonal-averaged series of the selected triples, one convolution each.
+    """Diagonal-averaged series of the selected triples, by one transform.
 
+    The antidiagonal sums of sum_i sigma_i u_i v_i^T are sum_i sigma_i
+    (u_i * v_i), linear convolutions: one rfft of the selected u columns, one
+    of the v columns, the sigma-weighted sum of their products over the
+    triples and one irfft give them all.
     `indices` selects triples (1-based) as in `group_matrix`; default is all.
     """
-    counts = diagonal_counts(t.L, t.K)
-    total = np.zeros(t.L + t.K - 1)
-    cols = range(t.count) if indices is None else _check_indices(t, indices) - 1
-    for i in cols:
-        total += t.sigmas[i] * fftconvolve(t.u[:, i], t.v[:, i])
-    return total / counts
+    cols = slice(None) if indices is None else _check_indices(t, indices) - 1
+    n = t.L + t.K - 1
+    P = next_fast_len(n, real=True)
+    spectrum = rfft(t.u[:, cols], P, axis=0) * rfft(t.v[:, cols], P, axis=0)
+    return irfft(spectrum @ t.sigmas[cols], P)[:n] / diagonal_counts(t.L, t.K)

@@ -247,6 +247,28 @@ def test_rank_reconstruction_dedupes_indices_like_group_matrix():
     for bad in ([0], [4]):
         with pytest.raises(IndexOutOfRange):
             sl.rank_reconstruction(t, bad)
+    np.testing.assert_array_equal(sl.rank_reconstruction(t, []), np.zeros(120))
+
+
+def test_rank_reconstruction_wide_window_four_triples():
+    # one transform for all triples against the dense antidiagonal average
+    f = cosine(399, period=19.0) + cosine(399, period=21.0)
+    f = f + 0.3 * np.random.default_rng(15).standard_normal(399)
+    t = sl.leading_triples(f, 300, 4)
+    dense = sl.hankelize(sl.group_matrix(t, range(1, 5)))
+    assert np.max(np.abs(sl.rank_reconstruction(t) - dense)) <= 1e-12 * np.max(np.abs(f))
+    two = sl.hankelize(sl.group_matrix(t, [2, 4]))
+    assert np.max(np.abs(sl.rank_reconstruction(t, [4, 2]) - two)) <= 1e-12 * np.max(np.abs(f))
+
+
+def test_diagonal_counts_examples():
+    np.testing.assert_array_equal(sl.diagonal_counts(2, 4), [1, 2, 2, 2, 1])
+    np.testing.assert_array_equal(sl.diagonal_counts(3, 1), [1, 1, 1])
+    rng = np.random.default_rng(16)
+    for L, K in rng.integers(1, 300, size=(20, 2)):
+        np.testing.assert_array_equal(
+            sl.diagonal_counts(L, K), np.convolve(np.ones(L), np.ones(K))
+        )
 
 
 @st.composite
@@ -257,15 +279,27 @@ def fast_route_case(draw, shape):
     threshold min(L, K) = 96 with rank = 96 // 4, the largest rank that
     still takes the block subspace iteration, narrow: min(L, K) from 2 to 30
     at N up to 26000, the window of the red-noise convergence study or its
-    wide mirror (the long ones form the Gram matrix from the series), and
+    wide mirror (the long ones form the Gram matrix from the series),
     proportional: L = (N + 1) // 2 at N from 399 to 1600, the window of the
-    white-noise convergence study.
+    white-noise convergence study, and low_snr: min(L, K) from 96 to 300,
+    rank 2-6 and noise loud enough that s_{r+2} / s_r > 0.3, where the block
+    iteration hands over to the Gram route after two passes.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = 0.1
     if shape == "threshold":
         n_points = draw(st.integers(191, 400))
         L = draw(st.sampled_from([96, n_points - 95]))
         freqs = (np.arange(12) + 0.5) / 26.0
+    elif shape == "low_snr":
+        m = draw(st.integers(96, 300))
+        n_points = draw(st.integers(2 * m - 1, 4 * m))
+        L = draw(st.sampled_from([m, n_points - m + 1]))
+        freqs = draw(st.floats(0.03, 0.08)) + 0.14 * np.arange(draw(st.integers(1, 3)))
+        # the largest noise singular value, about sigma (sqrt(L) + sqrt(K)),
+        # against sqrt(L K) / 2 for a unit cosine
+        K = n_points - L + 1
+        sigma = draw(st.floats(0.5, 1.5)) * np.sqrt(L * K) / (2 * (np.sqrt(L) + np.sqrt(K)))
     else:
         sizes = {"narrow": (200, 26000), "proportional": (399, 1600)}.get(shape, (10, 400))
         n_points = draw(st.integers(*sizes))
@@ -291,7 +325,7 @@ def fast_route_case(draw, shape):
         rng.uniform(1.0, 2.0) * b**n * np.cos(2 * np.pi * w * n + rng.uniform(0, 2 * np.pi))
         for w in freqs
     )
-    return f + 0.1 * rng.standard_normal(n_points), L, 2 * len(freqs)
+    return f + sigma * rng.standard_normal(n_points), L, 2 * len(freqs)
 
 
 def _residual_norm(A, B):
@@ -300,7 +334,7 @@ def _residual_norm(A, B):
 
 
 @pytest.mark.parametrize(
-    "shape", ["L=2", "L=N-1", "tall", "wide", "threshold", "narrow", "proportional"]
+    "shape", ["L=2", "L=N-1", "tall", "wide", "threshold", "narrow", "proportional", "low_snr"]
 )
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -310,6 +344,8 @@ def test_leading_triples_property_matches_dense(shape, data):
     f, L, r = data.draw(fast_route_case(shape))
     t = sl.leading_triples(f, L, r)
     ets = sl.decompose(sl.embed(f, L))
+    if shape == "low_snr":
+        assert ets.sigmas[r + 1] / ets.sigmas[r - 1] > 0.3
     assert (t.method, t.L, t.K, t.count) == ("basic", L, f.size - L + 1, r)
     assert np.max(np.abs(t.sigmas - ets.sigmas[:r])) <= 1e-9 * ets.sigmas[0]
     assert _residual_norm(t.u, ets.u[:, :r]) <= 1e-7
@@ -323,6 +359,14 @@ def test_leading_triples_routes():
     for (n_points, L, r), route in [((6399, 20, 2), "gram"), ((1596, 798, 2), "block")]:
         f = cosine(n_points) + 0.1 * rng.standard_normal(n_points)
         assert sl.leading_triples(f, L, r).route == route
+    # the two-cosine window table at sigma = 1: at L = 100 the block iteration
+    # forecasts more passes than the Gram route costs and hands over; at
+    # L = 200 it converges in 10-14 passes
+    spec = sl.SignalSpec("two_cos", n=399, sigma=1.0)
+    for seed in range(5):
+        f = sum(sl.gen_series(spec, np.random.default_rng(seed)))
+        assert sl.leading_triples(f, 100, 4).route == "gram"
+        assert sl.leading_triples(f, 200, 4).route == "block"
     # results of decompose and of an exported decomposition keep the default
     assert sl.decompose(sl.embed(cosine(50), 20)).route == "svd"
 
@@ -397,6 +441,28 @@ def test_block_route_falls_back_to_gram(monkeypatch):
     assert np.max(np.abs(t.sigmas - ets.sigmas[:2])) <= 1e-9 * ets.sigmas[0]
     assert _residual_norm(t.u, ets.u[:, :2]) <= 1e-7
     assert _residual_norm(t.v, ets.v[:, :2]) <= 1e-7
+
+
+def test_block_route_hands_over_after_two_passes(monkeypatch):
+    # pure noise has nearly equal singular values at the rank, so the forecast
+    # runs past the budget; a constant series asked for two triples has its
+    # second at rounding level. Either ends the iteration at the second pass,
+    # after its third correlation, instead of running to the 50-pass cap.
+    calls = []
+    irfft = core.irfft
+    monkeypatch.setattr(core, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    noise = np.random.default_rng(14).standard_normal(1596)
+    for f, L, route in [(noise, 798, "gram"), (np.ones(400), 200, "svd")]:
+        calls.clear()
+        assert sl.leading_triples(f, L, 2).route == route
+        assert len(calls) <= 3
+
+
+def test_block_start_block_is_cached_and_read_only():
+    Q = core._start_block(200, 4)
+    assert core._start_block(200, 4) is Q
+    assert not Q.flags.writeable
+    np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-14)
 
 
 def test_block_route_is_deterministic():
