@@ -19,12 +19,9 @@ from .errors import SsaError
 from .estimate import (
     ParamEstimates,
     Pseudospectrum,
-    ShiftMatrixEstimate,
     esprit_ls,
     esprit_tls,
     find_peaks,
-    minnorm_alignment,
-    music_alignment,
     pair_frequencies,
     poles_to_params,
     pseudospectrum_minnorm,
@@ -37,7 +34,6 @@ from .forecast import (
     PoleSet,
     SignalModel,
     characteristic_roots,
-    companion_matrix,
     fit_signal_model,
     min_norm_lrf,
     recurrent_forecast,

@@ -166,10 +166,8 @@ def _estimates_from_method(args, ets) -> ParamEstimates:
     if method in ("esprit-ls", "esprit-tls"):
         from .estimate import esprit_ls, esprit_tls
 
-        est = esprit_ls(signal_basis(ets, r)) if method == "esprit-ls" else esprit_tls(
-            signal_basis(ets, r)
-        )
-        return poles_to_params(est.poles())
+        esprit = esprit_ls if method == "esprit-ls" else esprit_tls
+        return poles_to_params(esprit(signal_basis(ets, r)))
     if method == "root-minnorm":
         lrf = min_norm_lrf(signal_basis(ets, r))
         return poles_to_params(root_min_norm(lrf, r))

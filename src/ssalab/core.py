@@ -187,10 +187,10 @@ def hankelize(M: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(series, L: int, indices, method: str = "basic") -> np.ndarray:
-    """embed -> decompose -> group -> diagonal averaging, in one call.
+    """Decompose, then diagonal-average the selected triples, in one call.
 
     `indices` selects eigentriples (1-based). `method` picks the basic SVD
-    or the Toeplitz variant.
+    or the Toeplitz variant; both reconstruct through `rank_reconstruction`.
     """
     f = as_series(series)
     if method == "basic":
@@ -199,7 +199,7 @@ def reconstruct(series, L: int, indices, method: str = "basic") -> np.ndarray:
         ets = decompose_toeplitz(f, L)
     else:
         raise ValueError(f"method must be 'basic' or 'toeplitz', got {method!r}")
-    return hankelize(group_matrix(ets, indices))
+    return rank_reconstruction(ets, indices)
 
 
 def center(series) -> tuple[np.ndarray, float]:

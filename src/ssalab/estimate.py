@@ -1,13 +1,15 @@
 """Subspace parameter estimation: ESPRIT, Min-Norm/MUSIC pseudospectra, root methods.
 
 All estimators consume a basis of the estimated signal subspace (or its
-orthogonal complement) and produce poles or pseudospectrum peaks; converting
-poles to per-sample frequency and damping lives here too.
+orthogonal complement). ESPRIT and the root methods return poles; the
+pseudospectra are one alignment routine, Min-Norm being MUSIC on a single
+noise vector. Converting poles to per-sample frequency and damping lives
+here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,22 +31,12 @@ UNIT_CIRCLE_SLACK = 1e-9
 CONJUGATE_PAIR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ShiftMatrixEstimate:
-    """Estimated r x r shift matrix; its eigenvalues are the pole estimates."""
+def esprit_ls(B) -> PoleSet:
+    """Poles as the eigenvalues of the least-squares shift matrix.
 
-    matrix: np.ndarray
-    method: str  # "ls" | "tls"
-
-    def poles(self) -> PoleSet:
-        return PoleSet.from_roots(np.linalg.eigvals(self.matrix))
-
-
-def esprit_ls(B) -> ShiftMatrixEstimate:
-    """Least-squares solution of the shift-invariance system.
-
-    Works for any full-column-rank basis of the signal subspace; the
-    eigenvalues are invariant under nonsingular changes of that basis.
+    Solves the shift-invariance system upper D = lower. Works for any
+    full-column-rank basis of the signal subspace; the eigenvalues of D are
+    invariant under nonsingular changes of that basis.
     """
     M = basis_matrix(B)
     r = M.shape[1]
@@ -52,16 +44,16 @@ def esprit_ls(B) -> ShiftMatrixEstimate:
     D, _, rank, _ = np.linalg.lstsq(upper, lower, rcond=None)
     if rank < r:
         raise RankDeficientShift(f"shift system rank {rank} < r = {r}")
-    return ShiftMatrixEstimate(matrix=D, method="ls")
+    return PoleSet.from_roots(np.linalg.eigvals(D))
 
 
-def esprit_tls(B) -> ShiftMatrixEstimate:
-    """Total-least-squares solution of the shift-invariance system.
+def esprit_tls(B) -> PoleSet:
+    """Poles as the eigenvalues of the total-least-squares shift matrix.
 
     Errors in both the shifted and unshifted blocks are minimized jointly:
     take the SVD of the stacked block [upper | lower], partition the right
-    singular matrix into r x r blocks and return -V12 V22^{-1}. Invariant
-    under orthogonal (not general nonsingular) basis changes.
+    singular matrix into r x r blocks; the shift matrix is -V12 V22^{-1}.
+    Invariant under orthogonal (not general nonsingular) basis changes.
     """
     M = basis_matrix(B)
     r = M.shape[1]
@@ -73,7 +65,7 @@ def esprit_tls(B) -> ShiftMatrixEstimate:
     if np.linalg.cond(V22) > 1e12:
         raise TlsDegenerate("TLS block V22 is numerically singular")
     Z = -np.linalg.solve(V22.T, V12.T).T
-    return ShiftMatrixEstimate(matrix=Z, method="tls")
+    return PoleSet.from_roots(np.linalg.eigvals(Z))
 
 
 @dataclass(frozen=True)
@@ -123,41 +115,14 @@ class Pseudospectrum:
     method: str  # "minnorm" | "music" | "ev"
 
 
-def _steering_products(vectors: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Inner products of the complex steering vector with each column, per omega."""
-    L = vectors.shape[0]
-    E = np.exp(2j * np.pi * np.outer(omegas, np.arange(L)))
-    return E @ vectors
-
-
-def minnorm_vector(B) -> np.ndarray:
-    """Projection of the last coordinate axis onto the orthogonal complement."""
-    M = basis_matrix(B)
-    a = -M @ M[-1, :]
-    a[-1] += 1.0
-    nu2 = 1.0 - float(a[-1])
-    if nu2 >= 1.0 - 1e-10:
-        raise VerticalSubspace(f"subspace is vertical (nu2 = {nu2:.3g}); no min-norm vector")
-    return a
-
-
-def minnorm_alignment(B, omegas) -> np.ndarray:
-    """Squared cosine between the steering vector and the min-norm vector."""
-    a = minnorm_vector(B)
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    G = _steering_products(a[:, None], om)[:, 0]
-    L = a.size
-    return np.abs(G) ** 2 / (L * float(a @ a))
-
-
-def music_alignment(noise_basis, omegas, eigenvalues=None) -> np.ndarray:
-    """Sum of squared cosines against noise-basis columns, optionally 1/lambda weighted."""
-    U = np.asarray(noise_basis, dtype=float)
+def _alignment(vectors, omegas, eigenvalues=None) -> np.ndarray:
+    """Sum of squared cosines between the steering vector and orthonormal
+    columns, per omega, optionally 1/lambda weighted."""
+    U = np.asarray(vectors, dtype=float)
     if U.ndim != 2 or U.shape[1] < 1:
         raise EmptyNoiseBasis("noise basis must have at least one column")
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    G = _steering_products(U, om)
-    per_vector = np.abs(G) ** 2 / U.shape[0]
+    E = np.exp(2j * np.pi * np.outer(omegas, np.arange(U.shape[0])))
+    per_vector = np.abs(E @ U) ** 2 / U.shape[0]
     if eigenvalues is None:
         return per_vector.sum(axis=1)
     lam = np.asarray(eigenvalues, dtype=float)
@@ -175,11 +140,16 @@ def _grid(gridsize: int) -> np.ndarray:
 
 
 def pseudospectrum_minnorm(B, gridsize: int = DEFAULT_GRIDSIZE) -> Pseudospectrum:
-    """Min-norm pseudospectrum: peaks of 1/f mark the signal frequencies."""
-    om = _grid(gridsize)
-    f = minnorm_alignment(B, om)
-    with np.errstate(divide="ignore"):
-        return Pseudospectrum(omegas=om, values=1.0 / f, method="minnorm")
+    """Min-norm pseudospectrum: MUSIC on the one unit noise vector along the
+    projection of the last coordinate axis onto the orthogonal complement."""
+    M = basis_matrix(B)
+    a = -M @ M[-1, :]
+    a[-1] += 1.0
+    nu2 = 1.0 - float(a[-1])
+    if nu2 >= 1.0 - 1e-10:
+        raise VerticalSubspace(f"subspace is vertical (nu2 = {nu2:.3g}); no min-norm vector")
+    ps = pseudospectrum_music(a[:, None] / np.linalg.norm(a), gridsize=gridsize)
+    return replace(ps, method="minnorm")
 
 
 def pseudospectrum_music(
@@ -187,7 +157,7 @@ def pseudospectrum_music(
 ) -> Pseudospectrum:
     """MUSIC pseudospectrum; pass noise-space eigenvalues for the EV weighting."""
     om = _grid(gridsize)
-    f = music_alignment(noise_basis, om, eigenvalues=eigenvalues)
+    f = _alignment(noise_basis, om, eigenvalues=eigenvalues)
     with np.errstate(divide="ignore"):
         return Pseudospectrum(
             omegas=om, values=1.0 / f, method="music" if eigenvalues is None else "ev"

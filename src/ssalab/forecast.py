@@ -3,8 +3,9 @@
 Coefficient storage follows the min-norm solution layout: a recurrence of
 order t = L-1 predicting s_n = sum_k a_k s_{n-k} is stored as the vector
 (a_t, ..., a_1), so coeffs[0] multiplies the oldest value of a chronological
-window and coeffs[-1] the newest. The same vector, placed in the last column
-of the order-t companion matrix, yields the characteristic roots.
+window and coeffs[-1] the newest. `characteristic_roots` places the same
+vector in the last column of the order-t companion matrix, built inline, and
+returns its eigenvalues.
 """
 
 from __future__ import annotations
@@ -129,15 +130,17 @@ def min_norm_lrf(B) -> LinearRecurrence:
 def recurrent_forecast(seed, lrf: LinearRecurrence, steps: int) -> np.ndarray:
     """Iterate a recurrence from the seed window; returns the new values.
 
-    `seed` holds the last order-many values in chronological order. Values
-    exceeding DIVERGENCE_BOUND in magnitude raise ForecastDiverged, the
-    symptom of extraneous roots escaping the unit circle.
+    `seed` holds the last order-many values in chronological order and must
+    be finite. Values exceeding DIVERGENCE_BOUND in magnitude raise
+    ForecastDiverged, the symptom of extraneous roots escaping the unit circle.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     window = np.asarray(seed, dtype=float).ravel()
     if window.size != lrf.order:
         raise ValueError(f"seed length {window.size} != recurrence order {lrf.order}")
+    if not np.all(np.isfinite(window)):
+        raise ValueError("seed contains NaN or infinite values")
     out = np.empty(steps)
     buf = window.copy()
     for m in range(steps):
@@ -152,22 +155,14 @@ def recurrent_forecast(seed, lrf: LinearRecurrence, steps: int) -> np.ndarray:
     return out
 
 
-def companion_matrix(lrf: LinearRecurrence) -> np.ndarray:
-    """Companion matrix whose eigenvalues are the characteristic roots."""
-    t = lrf.order
-    C = np.zeros((t, t))
-    if t > 1:
-        C[1:, :-1] = np.eye(t - 1)
-    C[:, -1] = lrf.coeffs
-    return C
-
-
 def characteristic_roots(lrf: LinearRecurrence) -> PoleSet:
     """All order-many roots of mu^t - sum_k a_k mu^{t-k}, via companion eigenvalues."""
     if not np.any(lrf.coeffs != 0.0):
         raise AllZeroCoefficients("all recurrence coefficients are zero")
-    roots = np.linalg.eigvals(companion_matrix(lrf))
-    return PoleSet.from_roots(roots)
+    t = lrf.order
+    C = np.eye(t, k=-1)
+    C[:, -1] = lrf.coeffs
+    return PoleSet.from_roots(np.linalg.eigvals(C))
 
 
 @dataclass(frozen=True)

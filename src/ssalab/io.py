@@ -85,9 +85,9 @@ def eigentriples_to_dict(ets: EigentripleSet, mean: float | None = None) -> dict
         "method": ets.method,
         "L": int(ets.L),
         "K": int(ets.K),
-        "sigmas": [float(s) for s in ets.sigmas],
-        "u": [[float(x) for x in ets.u[:, i]] for i in range(ets.count)],
-        "v": [[float(x) for x in ets.v[:, i]] for i in range(ets.count)],
+        "sigmas": _floats(ets.sigmas),
+        "u": _floats(ets.u.T),
+        "v": _floats(ets.v.T),
     }
     if mean is not None:
         doc["mean"] = float(mean)
@@ -95,7 +95,11 @@ def eigentriples_to_dict(ets: EigentripleSet, mean: float | None = None) -> dict
 
 
 def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
-    """Inverse of eigentriples_to_dict; returns the set and the stored mean (0 if absent)."""
+    """Inverse of eigentriples_to_dict; returns the set and the stored mean (0 if absent).
+
+    Raises ValueError for a document that is malformed, names a method other
+    than "basic" or "toeplitz", or holds NaN or infinite values.
+    """
     try:
         method = doc["method"]
         L = int(doc["L"])
@@ -103,15 +107,20 @@ def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
         sigmas = np.asarray(doc["sigmas"], dtype=float)
         u = np.asarray(doc["u"], dtype=float).T if doc["u"] else np.zeros((L, 0))
         v = np.asarray(doc["v"], dtype=float).T if doc["v"] else np.zeros((K, 0))
+        mean = float(doc.get("mean", 0.0))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed eigentriple document: {exc}") from exc
+    if method not in ("basic", "toeplitz"):
+        raise ValueError(f"eigentriple method must be 'basic' or 'toeplitz', got {method!r}")
+    if not all(np.all(np.isfinite(x)) for x in (sigmas, u, v, mean)):
+        raise ValueError("eigentriple document holds NaN or infinite values")
     if u.shape != (L, sigmas.size) or v.shape != (K, sigmas.size):
         raise ValueError(
             f"eigentriple document dimensions disagree: L={L}, K={K}, "
             f"u{u.shape}, v{v.shape}, {sigmas.size} sigmas"
         )
     ets = EigentripleSet(sigmas=sigmas, u=u, v=v, method=method, L=L, K=K)
-    return ets, float(doc.get("mean", 0.0))
+    return ets, mean
 
 
 def write_eigentriples(path, ets: EigentripleSet, mean: float | None = None) -> None:
@@ -158,8 +167,8 @@ def error_surface_to_dict(surf: ErrorSurface) -> dict:
         "seed": surf.master_seed,
         "experiment_id": surf.experiment_id,
         "windows": [int(L) for L in surf.windows],
-        "msd": [float(x) for x in surf.msd],
-        "rmse": [float(x) for x in surf.rmse],
+        "msd": _floats(surf.msd),
+        "rmse": _floats(surf.rmse),
         "failures": [int(x) for x in surf.failures],
     }
 

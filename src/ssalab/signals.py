@@ -2,11 +2,11 @@
 
 Each catalog kind is one row of `_CATALOG`: a closed-form signal, the
 residual recipe used in the error studies, the residual's noise family, and
-the signal's rank and poles. `gen_series` returns signal and residual
-separately so error functionals always know the truth. Exponential damping is written through
-the base b (s_n contains b^n), white noise has standard deviation sigma, and
-red noise is the stationary AR(1) process with coefficient alpha and unit
-variance before scaling by sigma.
+the signal's poles, whose count is its rank. `gen_series` returns signal and
+residual separately so error functionals always know the truth. Exponential
+damping is written through the base b (s_n contains b^n), white noise has
+standard deviation sigma, and red noise is the stationary AR(1) process with
+coefficient alpha and unit variance before scaling by sigma.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ class _Kind:
     signal: Callable  # (spec, n) -> signal values at n
     residual: Callable  # (spec, rng, n) -> residual draw at 0..spec.n-1
     noise: Optional[str]  # "white", "red", or None for a deterministic residual
-    rank: Callable  # spec -> trajectory-space dimension, None if unbounded
-    poles: Callable  # spec -> characteristic roots, None for infinite rank
+    poles: Callable  # spec -> characteristic roots (one per rank), None for infinite rank
 
 
 _CATALOG = {
@@ -108,43 +107,37 @@ _CATALOG = {
         lambda spec, n: np.ones_like(n),
         lambda spec, rng, n: -spec.c * (-1.0) ** n,
         None,
-        lambda spec: 1,
         lambda spec: np.array([1.0 + 0.0j]),
     ),
     "damped_cos_const": _Kind(
         _damped_cos,
         lambda spec, rng, n: np.full(spec.n, spec.c),
         None,
-        lambda spec: 2,
         _damped_cos_poles,
     ),
-    "damped_cos_wn": _Kind(_damped_cos, _white, "white", lambda spec: 2, _damped_cos_poles),
+    "damped_cos_wn": _Kind(_damped_cos, _white, "white", _damped_cos_poles),
     "damped_cos_mix": _Kind(
         _damped_cos,
         lambda spec, rng, n: (spec.sigma * white_noise(rng, spec.n) + spec.c) / np.sqrt(2.0),
         "white",
-        lambda spec: 2,
         _damped_cos_poles,
     ),
     "damped_cos_rn": _Kind(
         _damped_cos,
         lambda spec, rng, n: spec.sigma * red_noise(rng, spec.n, spec.alpha),
         "red",
-        lambda spec: 2,
         _damped_cos_poles,
     ),
     "two_cos": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n / 19.0) + np.cos(2.0 * np.pi * n / 21.0),
         _white,
         "white",
-        lambda spec: 4,
         _two_cos_poles,
     ),
     "chirp_am": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n**2 / 1e5) * np.cos(2.0 * np.pi * n / 20.0),
         _white,
         "white",
-        lambda spec: None,
         _no_poles,
     ),
     "chirp_trend_mix": _Kind(
@@ -152,14 +145,12 @@ _CATALOG = {
         lambda spec, rng, n: spec.sigma * white_noise(rng, spec.n)
         + spec.c * np.cos(2.0 * np.pi * n / 10.0),
         "white",
-        lambda spec: None,
         _no_poles,
     ),
     "exp_trend": _Kind(
         lambda spec, n: spec.b**n,
         _white,
         "white",
-        lambda spec: 1,
         lambda spec: np.array([spec.b + 0.0j]),
     ),
 }
@@ -192,8 +183,12 @@ def gen_series(spec: SignalSpec, rng=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_rank(spec: SignalSpec) -> Optional[int]:
-    """Trajectory-space dimension of the noise-free signal, None if unbounded."""
-    return _CATALOG[spec.kind].rank(spec)
+    """Trajectory-space dimension of the noise-free signal, None if unbounded.
+
+    Every catalog pole is simple, so the rank is the pole count.
+    """
+    poles = _CATALOG[spec.kind].poles(spec)
+    return None if poles is None else poles.size
 
 
 def true_poles(spec: SignalSpec) -> Optional[PoleSet]:

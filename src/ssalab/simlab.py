@@ -201,7 +201,7 @@ def _functional_error(tag: str, t, truth: _Truth) -> float:
         pred = float(lrf.coeffs @ rec[-lrf.order:])
         return abs(pred - truth.next_value)
     if tag in ("frequency", "base"):
-        poles = esprit_ls(t.u).poles()
+        poles = esprit_ls(t.u)
         if tag == "frequency":  # distance to the nearest estimated frequency
             est = pair_frequencies(poles)
             diffs = [np.min(np.abs(est - w)) for w in truth.freqs]

@@ -26,8 +26,8 @@ def _estimator_poles(f, L, rank):
     t = sl.leading_triples(f, L, rank)
     basis = t.u
     out = {
-        "esprit-ls": sl.esprit_ls(basis).poles().poles,
-        "esprit-tls": sl.esprit_tls(basis).poles().poles,
+        "esprit-ls": sl.esprit_ls(basis).poles,
+        "esprit-tls": sl.esprit_tls(basis).poles,
         "root-minnorm": sl.root_min_norm(sl.min_norm_lrf(basis), rank).poles,
         "root-music": sl.root_music(sl.noise_complement(basis), rank).poles,
     }
@@ -254,21 +254,21 @@ def test_invariance_suite():
     n = np.arange(100)
     f = np.cos(2 * np.pi * n / 10) + 0.1 * rng.standard_normal(100)
     B = sl.leading_triples(f, 40, 2).u
-    ls_ref = np.sort_complex(sl.esprit_ls(B).poles().poles)
-    tls_ref = np.sort_complex(sl.esprit_tls(B).poles().poles)
+    ls_ref = np.sort_complex(sl.esprit_ls(B).poles)
+    tls_ref = np.sort_complex(sl.esprit_tls(B).poles)
 
     worst_ls = 0.0
     for _ in range(100):
         P = rng.standard_normal((2, 2))
         while abs(np.linalg.det(P)) < 0.05:
             P = rng.standard_normal((2, 2))
-        got = np.sort_complex(sl.esprit_ls(B @ P).poles().poles)
+        got = np.sort_complex(sl.esprit_ls(B @ P).poles)
         worst_ls = max(worst_ls, float(np.max(np.abs(got - ls_ref))))
 
     worst_tls = 0.0
     for _ in range(100):
         Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        got = np.sort_complex(sl.esprit_tls(B @ Q).poles().poles)
+        got = np.sort_complex(sl.esprit_tls(B @ Q).poles)
         worst_tls = max(worst_tls, float(np.max(np.abs(got - tls_ref))))
 
     A1 = np.linalg.qr(rng.standard_normal((40, 3)))[0]

@@ -186,13 +186,16 @@ def test_window_symmetry():
 def test_rank_exactness_catalog():
     cases = [
         (sl.SignalSpec("exp_trend", n=60, b=1.005), 1),
+        (sl.SignalSpec("const_saw", n=60), 1),
         (sl.SignalSpec("damped_cos_wn", n=100, b=0.99, sigma=0.0), 2),
         (sl.SignalSpec("damped_cos_wn", n=100, b=1.0, sigma=0.0), 2),
+        (sl.SignalSpec("damped_cos_const", n=100, b=0.99), 2),
         (sl.SignalSpec("two_cos", n=100, sigma=0.0), 4),
     ]
     for spec, rank in cases:
         ets = sl.decompose(sl.embed(sl.signal_values(spec), 40))
         assert ets.count == rank, spec.kind
+        assert ets.count == sl.exact_rank(spec), spec.kind
 
 
 # -- centering and SNR ----------------------------------------------------------
@@ -231,8 +234,21 @@ def test_rank_reconstruction_matches_pipeline():
     f = cosine(200) + 0.1 * rng.standard_normal(200)
     t = sl.leading_triples(f, 90, 2)
     fast = sl.rank_reconstruction(t)
-    ref = sl.reconstruct(f, 90, [1, 2])
+    ref = sl.hankelize(sl.group_matrix(sl.decompose(sl.embed(f, 90)), [1, 2]))
     np.testing.assert_allclose(fast, ref, atol=1e-10)
+
+
+def test_reconstruct_matches_dense_grouping_for_both_methods():
+    rng = np.random.default_rng(16)
+    f = cosine(150) + 0.2 * rng.standard_normal(150)
+    for method, ets in (("basic", sl.decompose(sl.embed(f, 40))),
+                        ("toeplitz", sl.decompose_toeplitz(f, 40))):
+        ref = sl.hankelize(sl.group_matrix(ets, [1, 2, 4]))
+        got = sl.reconstruct(f, 40, [4, 1, 2], method=method)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(f)), method
+        np.testing.assert_array_equal(sl.reconstruct(f, 40, [], method=method), np.zeros(150))
+    with pytest.raises(ValueError, match="basic"):
+        sl.reconstruct(f, 40, [1], method="other")
 
 
 def test_rank_reconstruction_dedupes_indices_like_group_matrix():

@@ -7,6 +7,7 @@ from ssalab.errors import (
     FewerPeaksThanRequested,
     NonpositiveEigenvalue,
     TooFewRoots,
+    VerticalSubspace,
     ZeroPole,
 )
 
@@ -33,55 +34,55 @@ def pole_error(poles, truth):
 def test_esprit_ls_exponential():
     f = 2.0 ** np.arange(12)
     B = sl.signal_basis(sl.decompose(sl.embed(f, 6)), 1)
-    est = sl.esprit_ls(B)
-    assert est.matrix.shape == (1, 1)
-    assert est.matrix[0, 0] == pytest.approx(2.0, abs=1e-10)
+    poles = sl.esprit_ls(B).poles
+    assert poles.shape == (1,)
+    assert poles[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_esprit_ls_cosine():
-    poles = sl.esprit_ls(cos_basis()).poles().poles
+    poles = sl.esprit_ls(cos_basis()).poles
     assert pole_error(poles, [TRUE_POLE, TRUE_POLE.conjugate()]) <= 1e-8
 
 
 def test_esprit_ls_similarity_invariance():
     B = cos_basis(sigma=0.1)
-    ref = np.sort_complex(sl.esprit_ls(B).poles().poles)
+    ref = np.sort_complex(sl.esprit_ls(B).poles)
     rng = np.random.default_rng(1)
     for _ in range(10):
         P = rng.standard_normal((2, 2))
         while abs(np.linalg.det(P)) < 0.1:
             P = rng.standard_normal((2, 2))
-        got = np.sort_complex(sl.esprit_ls(B.columns @ P).poles().poles)
+        got = np.sort_complex(sl.esprit_ls(B.columns @ P).poles)
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
 def test_esprit_tls_matches_ls_noise_free():
     B = cos_basis()
-    ls = np.sort_complex(sl.esprit_ls(B).poles().poles)
-    tls = np.sort_complex(sl.esprit_tls(B).poles().poles)
+    ls = np.sort_complex(sl.esprit_ls(B).poles)
+    tls = np.sort_complex(sl.esprit_tls(B).poles)
     np.testing.assert_allclose(ls, tls, atol=1e-8)
 
 
 def test_esprit_tls_orthogonal_invariance():
     B = cos_basis(sigma=0.1)
-    ref = np.sort_complex(sl.esprit_tls(B).poles().poles)
+    ref = np.sort_complex(sl.esprit_tls(B).poles)
     rng = np.random.default_rng(2)
     for _ in range(10):
         Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        got = np.sort_complex(sl.esprit_tls(B.columns @ Q).poles().poles)
+        got = np.sort_complex(sl.esprit_tls(B.columns @ Q).poles)
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
 def test_esprit_tls_depends_on_oblique_basis_change():
     B = cos_basis(sigma=0.3, seed=5)
-    ref = np.sort_complex(sl.esprit_tls(B).poles().poles)
+    ref = np.sort_complex(sl.esprit_tls(B).poles)
     rng = np.random.default_rng(3)
     moved = 0.0
     for _ in range(5):
         P = rng.standard_normal((2, 2)) + np.eye(2)
         if abs(np.linalg.det(P)) < 0.1:
             continue
-        got = np.sort_complex(sl.esprit_tls(B.columns @ P).poles().poles)
+        got = np.sort_complex(sl.esprit_tls(B.columns @ P).poles)
         moved = max(moved, float(np.max(np.abs(got - ref))))
     assert moved > 1e-12
 
@@ -116,16 +117,31 @@ def test_minnorm_peak_at_signal_frequency():
     assert np.all(ps.values > 0)
 
 
+def minnorm_alignment(B, omegas):
+    """Oracle: squared cosine between the steering vector and the min-norm
+    vector, the recurrence (-a, 1) of min_norm_lrf up to scale."""
+    a = np.append(-sl.min_norm_lrf(B).coeffs, 1.0)
+    G = np.exp(2j * np.pi * np.outer(omegas, np.arange(a.size))) @ a
+    return np.abs(G) ** 2 / (a.size * float(a @ a))
+
+
 def test_minnorm_alignment_matches_min_norm_recurrence():
-    # the min-norm vector is the recurrence (-a, 1) of min_norm_lrf up to scale,
-    # and the alignment is scale-free
+    # the alignment is scale-free, so the recurrence vector is an oracle for it
     om = np.linspace(0.0, 0.5, 257)
     for seed in range(60):
         B = cos_basis(sigma=0.5, seed=seed)
-        a = np.append(-sl.min_norm_lrf(B).coeffs, 1.0)
-        G = np.exp(2j * np.pi * np.outer(om, np.arange(a.size))) @ a
-        want = np.abs(G) ** 2 / (a.size * float(a @ a))
-        np.testing.assert_allclose(sl.minnorm_alignment(B, om), want, rtol=1e-12)
+        ps = sl.pseudospectrum_minnorm(B, gridsize=257)
+        np.testing.assert_array_equal(ps.omegas, om)
+        np.testing.assert_allclose(1 / ps.values, minnorm_alignment(B, om), rtol=1e-12)
+
+
+def test_minnorm_rejects_vertical_subspace():
+    # a basis that contains the last coordinate axis e_L leaves no min-norm vector
+    basis = np.zeros((10, 2))
+    basis[0, 0] = 1.0
+    basis[-1, 1] = 1.0
+    with pytest.raises(VerticalSubspace):
+        sl.pseudospectrum_minnorm(basis)
 
 
 def test_minnorm_two_sinusoids_against_dense_grid():
@@ -135,7 +151,7 @@ def test_minnorm_two_sinusoids_against_dense_grid():
     coarse = sl.pseudospectrum_minnorm(B, gridsize=1024)
     peaks = sl.find_peaks(coarse, 2)
     dense = np.linspace(0.03, 0.07, 200001)
-    f_dense = sl.minnorm_alignment(B, dense)
+    f_dense = minnorm_alignment(B, dense)
     # dense-grid oracle: the two smallest alignments sit at the signal frequencies
     lo = dense[np.argmin(np.where(dense < 0.05, f_dense, np.inf))]
     hi = dense[np.argmin(np.where(dense > 0.05, f_dense, np.inf))]
@@ -148,7 +164,9 @@ def test_minnorm_two_sinusoids_against_dense_grid():
 def test_music_zero_at_true_frequency():
     B = cos_basis()
     noise = sl.noise_complement(B)
-    assert sl.music_alignment(noise, [0.1])[0] <= 1e-16
+    ps = sl.pseudospectrum_music(noise, gridsize=11)  # grid step 0.05
+    assert ps.omegas[2] == 0.1
+    assert 1 / ps.values[2] <= 1e-16
 
 
 def test_music_ev_proportional_for_equal_eigenvalues():
@@ -164,7 +182,7 @@ def test_music_ev_proportional_for_equal_eigenvalues():
 def test_music_alignment_bounded():
     rng = np.random.default_rng(4)
     noise = np.linalg.qr(rng.standard_normal((15, 6)))[0]
-    f = sl.music_alignment(noise, rng.uniform(0, 0.5, size=50))
+    f = 1 / sl.pseudospectrum_music(noise, gridsize=257).values
     assert np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-12)
 
 
@@ -172,9 +190,11 @@ def test_music_rejects_bad_inputs():
     B = cos_basis()
     noise = sl.noise_complement(B)
     with pytest.raises(EmptyNoiseBasis):
-        sl.music_alignment(np.zeros((10, 0)), [0.1])
+        sl.pseudospectrum_music(np.zeros((10, 0)))
     with pytest.raises(NonpositiveEigenvalue):
         sl.pseudospectrum_music(noise, eigenvalues=np.zeros(noise.shape[1]))
+    with pytest.raises(ValueError, match="one eigenvalue per noise vector"):
+        sl.pseudospectrum_music(noise, eigenvalues=np.ones(noise.shape[1] + 1))
 
 
 # -- root methods ----------------------------------------------------------------

@@ -86,6 +86,13 @@ def test_recurrent_forecast_divergence_guard():
         sl.recurrent_forecast([1.0], lrf, 200)
 
 
+def test_recurrent_forecast_rejects_nonfinite_seed():
+    lrf = sl.LinearRecurrence(coeffs=[0.3, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sl.recurrent_forecast([1.0, bad], lrf, 3)
+
+
 def test_forecast_shift_invariance():
     # a signal governed by its minimal recurrence continues exactly
     f = cosine(60, b=0.99)

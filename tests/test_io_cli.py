@@ -60,6 +60,45 @@ def test_eigentriples_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.v, ets.v)
 
 
+def test_eigentriples_from_dict_rejects_nonfinite_and_unknown_method():
+    f = np.cos(2 * np.pi * np.arange(40) / 10)
+    good = sio.eigentriples_to_dict(sl.decompose(sl.embed(f, 10)), mean=0.5)
+    sio.eigentriples_from_dict(good)
+    for key, bad in (("sigmas", np.nan), ("u", np.inf), ("v", -np.inf), ("mean", np.nan)):
+        doc = json.loads(json.dumps(good))
+        if key == "mean":
+            doc["mean"] = bad
+        elif key == "sigmas":
+            doc["sigmas"][1] = bad
+        else:
+            doc[key][0][3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sio.eigentriples_from_dict(doc)
+    for method in ("svd", None, "Basic"):
+        with pytest.raises(ValueError, match="method"):
+            sio.eigentriples_from_dict({**good, "method": method})
+
+
+def test_decompose_export_matches_reference_format(tmp_path):
+    # the JSON layout written by per-element float() conversion, byte for byte
+    src = tmp_path / "cos.csv"
+    write_cosine_csv(src, n_points=80)
+    out = tmp_path / "ets.json"
+    assert main(["decompose", "-i", str(src), "-L", "30", "--center", "-o", str(out)]) == 0
+    f, mean = sl.center(sio.read_series(src))
+    ets = sl.decompose(sl.embed(f, 30))
+    doc = {
+        "method": ets.method,
+        "L": int(ets.L),
+        "K": int(ets.K),
+        "sigmas": [float(s) for s in ets.sigmas],
+        "u": [[float(x) for x in ets.u[:, i]] for i in range(ets.count)],
+        "v": [[float(x) for x in ets.v[:, i]] for i in range(ets.count)],
+        "mean": float(mean),
+    }
+    assert out.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+
+
 def test_parse_group():
     assert parse_group("1,2,5-8") == [1, 2, 5, 6, 7, 8]
     assert parse_group("3") == [3]
@@ -101,6 +140,23 @@ def test_cli_decompose_reconstruct_round_trip_bitwise(tmp_path):
         ["reconstruct", "--from-decomposition", str(ets_path), "--group", "1,2", "-o", str(via)]
     ) == 0
     assert direct.read_bytes() == via.read_bytes()
+
+
+def test_cli_reconstruct_rejects_nonfinite_decomposition(tmp_path, capsys):
+    src = tmp_path / "cos.csv"
+    write_cosine_csv(src)
+    ets_path = tmp_path / "ets.json"
+    assert main(["decompose", "-i", str(src), "-L", "20", "-o", str(ets_path)]) == 0
+    good = json.loads(ets_path.read_text())
+    out = tmp_path / "rec.csv"
+    for field, value in (("sigmas", [float("nan")] + good["sigmas"][1:]),
+                         ("method", "ssa")):
+        bad = tmp_path / f"bad_{field}.json"
+        bad.write_text(json.dumps({**good, field: value}))
+        capsys.readouterr()
+        assert main(["reconstruct", "--from-decomposition", str(bad), "-o", str(out)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_estimate_esprit(tmp_path):
