@@ -66,7 +66,6 @@ from .simlab import (
     window_for_policy,
 )
 from .subspace import (
-    SubspaceBasis,
     noise_complement,
     signal_basis,
     subspace_distance,

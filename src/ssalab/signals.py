@@ -21,7 +21,7 @@ from scipy.signal import lfilter
 from .core import decompose, embed
 from .errors import InvalidSpec
 from .forecast import PoleSet
-from .subspace import SubspaceBasis, signal_basis
+from .subspace import signal_basis
 
 
 def white_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -50,6 +50,8 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in _CATALOG:
             raise InvalidSpec(f"unknown signal kind {self.kind!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise InvalidSpec(f"series length must be an integer, got {self.n!r}")
         if self.n < 3:
             raise InvalidSpec(f"series length must be >= 3, got {self.n}")
         for name in ("b", "c", "sigma"):
@@ -207,14 +209,11 @@ def true_frequencies(spec: SignalSpec) -> Optional[np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _exact_basis_cached(spec: SignalSpec, L: int) -> SubspaceBasis:
+def exact_basis(spec: SignalSpec, L: int) -> np.ndarray:
+    """Exact signal-subspace basis at window L; cached and shared, so read-only."""
     r = exact_rank(spec)
     if r is None:
         raise InvalidSpec(f"kind {spec.kind!r} has no finite rank; no exact basis")
-    ets = decompose(embed(signal_values(spec), L))
-    return signal_basis(ets, r)
-
-
-def exact_basis(spec: SignalSpec, L: int) -> SubspaceBasis:
-    """Exact signal-subspace basis at window L, from the noise-free trajectory matrix."""
-    return _exact_basis_cached(spec, L)
+    B = signal_basis(decompose(embed(signal_values(spec), L)), r)
+    B.flags.writeable = False
+    return B

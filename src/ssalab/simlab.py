@@ -99,8 +99,8 @@ def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width
     Replication i calls evaluate(triples, errors[i], failed[i]) with one
     leading_triples result per (L, r) in `shapes`; errors start as NaN.
     """
-    if reps < 1:
-        raise InvalidSpec(f"reps must be >= 1, got {reps}")
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise InvalidSpec(f"reps must be an integer >= 1, got {reps!r}")
     errors = np.full((reps, width), np.nan)
     failed = np.zeros((reps, width), dtype=bool)
 
@@ -176,7 +176,7 @@ def _make_truth(
         rec_rank=rec_rank,
         signal=s_ext[:-1],
         next_value=float(s_ext[-1]),
-        exact_u=exact_basis(spec, L).columns,
+        exact_u=exact_basis(spec, L),
         freqs=true_frequencies(spec),
         log_b=float(np.log(spec.b)),
     )
@@ -308,8 +308,8 @@ def mc_point_errors(
     per-point variance with the closed-form asymptotic expression.
     """
     truth = _make_truth(spec, L)
-    pts = np.asarray(points, dtype=int)
-    if pts.size == 0 or pts.min() < 0 or pts.max() >= spec.n:
+    pts = np.asarray(points)
+    if pts.dtype.kind not in "iu" or pts.size == 0 or pts.min() < 0 or pts.max() >= spec.n:
         raise InvalidSpec(f"points must be indices in 0..N-1 = 0..{spec.n - 1}, got {points!r}")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:point:L={L}"
 
@@ -413,7 +413,7 @@ def convergence_ratio(
 def _d1(beta: float, gamma: float) -> float:
     return (
         gamma**2 * (1 + beta)
-        - 2 * gamma * beta * (1 + beta) ** 2
+        - 2 * gamma * (1 + beta) ** 2
         + 4 * beta * (3 - 3 * beta + 2 * beta**2)
     ) / (12 * beta**2 * (1 - beta) ** 2)
 
@@ -446,8 +446,8 @@ def asymptotic_variance(beta: float, gamma: float, sigma: float, n: int) -> floa
         raise OutOfDomain(f"beta must lie in (0, 1), got {beta}")
     if not 0.0 <= gamma <= 2.0:
         raise OutOfDomain(f"gamma must lie in [0, 2], got {gamma}")
-    if sigma < 0 or n < 1:
-        raise OutOfDomain(f"need sigma >= 0 and n >= 1, got sigma={sigma}, n={n}")
+    if not (np.isfinite(sigma) and sigma >= 0) or n < 1:
+        raise OutOfDomain(f"need finite sigma >= 0 and n >= 1, got sigma={sigma}, n={n}")
     if beta > 0.5:
         beta = 1.0 - beta
     if gamma > 1.0:
@@ -596,7 +596,7 @@ class ExperimentConfig:
             raise InvalidSpec("config needs a nonempty 'windows' list")
         reps = doc.get("reps", 100)
         ets = doc.get("eigentriples")
-        int_fields = [("signal n", fields["n"]), ("reps", reps), ("seed", seed)]
+        int_fields = [("reps", reps), ("seed", seed)]
         int_fields += [("window", w) for w in windows]
         if ets is not None:
             int_fields.append(("eigentriples", ets))

@@ -1,8 +1,7 @@
-"""Signal-subspace bases, noise complements, and the largest-principal-angle distance."""
+"""Signal-subspace bases, which are plain (L, r) arrays with 1 <= r < L, noise
+complements, and the largest-principal-angle distance."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
@@ -13,49 +12,23 @@ from .errors import DimensionMismatch, RankTooLarge
 ORTHONORMALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning an r-dimensional subspace of R^L."""
-
-    columns: np.ndarray  # (L, r)
-
-    def __post_init__(self):
-        B = np.asarray(self.columns, dtype=float)
-        if B.ndim != 2:
-            raise ValueError(f"basis must be a 2-D array, got shape {B.shape}")
-        L, r = B.shape
-        if not 1 <= r < L:
-            raise ValueError(f"need 1 <= r < L, got r={r}, L={L}")
-        gram = B.T @ B
-        if np.max(np.abs(gram - np.eye(r))) > ORTHONORMALITY_TOL:
-            raise ValueError("basis columns are not orthonormal")
-        object.__setattr__(self, "columns", B)
-
-    @property
-    def L(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.columns.shape[1]
-
-
 def basis_matrix(B) -> np.ndarray:
-    """Accept a SubspaceBasis or a plain (L, r) array and return the array."""
-    if isinstance(B, SubspaceBasis):
-        return B.columns
+    """Return B as an (L, r) float array; ValueError unless 1 <= r < L."""
     M = np.asarray(B, dtype=float)
     if M.ndim != 2 or not 1 <= M.shape[1] < M.shape[0]:
         raise ValueError(f"expected an L x r matrix with 1 <= r < L, got shape {M.shape}")
     return M
 
 
-def signal_basis(ets: EigentripleSet, r: int) -> SubspaceBasis:
-    """Basis of the estimated signal subspace: the r leading left vectors."""
+def signal_basis(ets: EigentripleSet, r: int) -> np.ndarray:
+    """The r leading left vectors; ValueError unless orthonormal with r < L."""
     d = ets.sigmas.size
     if not 1 <= r <= d:
         raise RankTooLarge(f"rank r={r} outside 1..{d} retained triples")
-    return SubspaceBasis(ets.u[:, :r].copy())
+    B = basis_matrix(ets.u[:, :r].copy())
+    if np.max(np.abs(B.T @ B - np.eye(r))) > ORTHONORMALITY_TOL:
+        raise ValueError("basis columns are not orthonormal")
+    return B
 
 
 def noise_complement(B) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_exact_separability():
     errs = {}
     for L in (50, 51):
         est = sl.leading_triples(observed, L, 1)
-        errs[L] = sl.subspace_distance(est.u, sl.exact_basis(spec, L).columns)
+        errs[L] = sl.subspace_distance(est.u, sl.exact_basis(spec, L))
     ok = errs[50] <= 1e-10 and errs[51] > 1e-4
     report("exact-separability", ok, f"L=50: {errs[50]:.2e}, L=51: {errs[51]:.2e}")
     assert errs[50] <= 1e-10

@@ -47,7 +47,7 @@ def test_min_norm_lrf_predicts_cosine():
 
 def test_min_norm_backward_mirrors_forward():
     # the backward recurrence is the forward one of the row-reversed basis
-    B = exact_cos_basis(100, 20).columns
+    B = exact_cos_basis(100, 20)
     bwd = sl.min_norm_lrf(B[::-1])
     nu2 = float(B[0] @ B[0])
     assert bwd.nu2 == pytest.approx(nu2, rel=1e-12)

@@ -69,6 +69,10 @@ def test_invalid_specs():
         sl.SignalSpec("damped_cos_wn", n=10, b=0.0)
     with pytest.raises(InvalidSpec):
         sl.SignalSpec("damped_cos_wn", n=10, sigma=float("nan"))
+    # a non-integer length fails here, not later inside gen_series
+    for n in (100.0, True, "100", np.float64(100)):
+        with pytest.raises(InvalidSpec, match="integer"):
+            sl.SignalSpec("damped_cos_wn", n)
 
 
 def test_true_poles_and_rank():
@@ -84,13 +88,24 @@ def test_true_poles_and_rank():
     assert sl.true_poles(chirp) is None
 
 
+def test_exact_basis_is_a_read_only_array():
+    spec = sl.SignalSpec("damped_cos_wn", n=80, sigma=0.0)
+    B = sl.exact_basis(spec, 20)
+    assert isinstance(B, np.ndarray) and not B.flags.writeable
+    first = B[0, 0]
+    with pytest.raises(ValueError):
+        B[0, 0] = 123.0
+    # the cached basis every later caller gets is unchanged
+    assert sl.exact_basis(spec, 20)[0, 0] == first
+
+
 def test_exact_basis_spans_signal_space():
     spec = sl.SignalSpec("damped_cos_wn", n=80, b=0.99, sigma=0.33)
     B = sl.exact_basis(spec, 30)
-    assert B.columns.shape == (30, 2)
+    assert B.shape == (30, 2)
     # basis reproduces the noise-free trajectory matrix columns
     X = sl.embed(sl.signal_values(spec), 30)
-    proj = B.columns @ (B.columns.T @ X)
+    proj = B @ (B.T @ X)
     assert np.linalg.norm(proj - X) <= 1e-10 * np.linalg.norm(X)
 
 

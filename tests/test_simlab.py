@@ -91,11 +91,13 @@ def test_rank_too_large_for_window_is_invalid_spec():
         lambda: sl.mc_point_errors(WN, 40, [-1], 2),
         lambda: sl.mc_point_errors(WN, 40, [WN.n], 2),
         lambda: sl.mc_point_errors(WN, 40, [10], 0),
+        lambda: sl.mc_point_errors(WN, 40, [10.7], 2),
+        lambda: sl.mc_error_surface(WN, [40], 2.0, "projector"),
         lambda: sl.forecast_error_split(WN, 40, 50, 0),
         lambda: sl.mc_error_surface(WN, [3], 2, "forecast-1-step", eigentriples=3),
     ],
-    ids=["point-negative", "point-N", "points-reps-0", "split-reps-0",
-         "forecast-eigentriples-L"],
+    ids=["point-negative", "point-N", "points-reps-0", "point-fraction", "surface-reps-float",
+         "split-reps-0", "forecast-eigentriples-L"],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
     def no_replication(*args, **kwargs):
@@ -174,10 +176,16 @@ def test_asymptotic_variance_reference_points():
 
 
 def test_asymptotic_variance_branch_continuity():
-    from ssalab.simlab import _d2, _d3
+    from ssalab.simlab import _d1, _d2, _d3
 
     for beta in (0.35, 0.4, 0.45):
         assert abs(_d2(beta, 2 * beta) - _d3(beta, 2 * beta)) <= 1e-9
+        # d1 hands over to d2 at gamma = 2 (1 - 2 beta) when beta > 1/3 ...
+        gamma = 2 * (1 - 2 * beta)
+        assert abs(_d1(beta, gamma) - _d2(beta, gamma)) <= 1e-9
+    # ... and straight to d3 at gamma = 2 beta when beta <= 1/3
+    for beta in (0.1, 0.25, 0.3):
+        assert abs(_d1(beta, 2 * beta) - _d3(beta, 2 * beta)) <= 1e-9
 
 
 def test_asymptotic_variance_symmetries():
@@ -193,6 +201,9 @@ def test_asymptotic_variance_domain():
         sl.asymptotic_variance(0.0, 0.5, 1.0, 1)
     with pytest.raises(OutOfDomain):
         sl.asymptotic_variance(0.5, 2.5, 1.0, 1)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(OutOfDomain):
+            sl.asymptotic_variance(0.5, 1.0, sigma, 1)
 
 
 def test_empirical_variance_matches_d2_branch():
@@ -203,6 +214,15 @@ def test_empirical_variance_matches_d2_branch():
                               experiment_id="custom:point:L=200")
     predicted = sl.asymptotic_variance(0.5, 0.5, 0.1, 400)
     assert errs[:, 0].var() == pytest.approx(predicted, rel=0.25)
+
+
+def test_empirical_variance_matches_d1_branch():
+    # point l = N/8 (gamma = 0.25) of a noisy constant, L = N/4 (beta = 0.25)
+    spec = sl.SignalSpec("exp_trend", n=400, sigma=0.1, b=1.0)
+    errs = sl.mc_point_errors(spec, 100, [50], reps=1500, master_seed=10)
+    predicted = sl.asymptotic_variance(0.25, 0.25, 0.1, 400)
+    # 15% is about four standard errors of a 1500-replication variance
+    assert errs[:, 0].var() == pytest.approx(predicted, rel=0.15)
 
 
 # -- forecast error split ---------------------------------------------------------

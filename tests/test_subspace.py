@@ -52,7 +52,7 @@ def random_basis(rng, L, r):
 def test_signal_basis_constant():
     ets = sl.decompose(sl.embed(np.ones(10), 2))
     B = sl.signal_basis(ets, 1)
-    np.testing.assert_allclose(B.columns[:, 0], [1 / np.sqrt(2)] * 2, atol=1e-12)
+    np.testing.assert_allclose(B[:, 0], [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_signal_basis_matches_exact_trajectory_space():
@@ -72,11 +72,17 @@ def test_signal_basis_rank_out_of_range():
         sl.signal_basis(ets, 0)  # empty basis rejected
 
 
+def triples_with_u(u):
+    """Hand-built triples, as read from a file: nothing checks their u."""
+    d = u.shape[1]
+    return sl.EigentripleSet(np.arange(d, 0, -1.0), u, np.eye(4, d), "basic", u.shape[0], 4)
+
+
 def test_basis_requires_orthonormal_columns():
-    with pytest.raises(ValueError):
-        sl.SubspaceBasis(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        sl.SubspaceBasis(np.eye(3))  # r == L not allowed
+    with pytest.raises(ValueError, match="orthonormal"):
+        sl.signal_basis(triples_with_u(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])), 2)
+    with pytest.raises(ValueError, match="1 <= r < L"):
+        sl.signal_basis(triples_with_u(np.eye(3)), 3)  # r == L not allowed
 
 
 def test_distance_identical_and_45_degrees():
