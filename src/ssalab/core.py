@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import hankel, toeplitz
+from numpy.fft import irfft, rfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecompositionFailed, IndexOutOfRange, WindowOutOfRange
 
@@ -52,7 +52,7 @@ def embed(series, L: int) -> np.ndarray:
     """Build the L x K trajectory (Hankel) matrix of lagged windows."""
     f = as_series(series)
     _check_window(f.size, L)
-    return hankel(f[:L], f[L - 1:])
+    return sliding_window_view(f, f.size - L + 1).copy()
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def lag_covariance_matrix(series, L: int) -> np.ndarray:
     # full correlation gives sum_m f_m f_{m+k} at offset N-1+k
     acov = np.correlate(f, f, mode="full")[n - 1:n - 1 + L]
     first_row = acov / (n - np.arange(L))
-    return toeplitz(first_row)
+    lag = np.arange(L)
+    return first_row[np.abs(lag[:, None] - lag)]
 
 
 def decompose_toeplitz(series, L: int) -> EigentripleSet:
@@ -252,6 +253,25 @@ _GRAM_SERIES_MIN_ASPECT = 8
 _GRAM_SERIES_MIN_SIZE = 2**15
 
 
+@lru_cache(maxsize=64)
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, as scipy.fft.next_fast_len(n, real=True).
+
+    Cached because the Monte-Carlo loop asks for the same few lengths on every
+    replication, and the search in Python costs about 12 us a call.
+    """
+    best = 1 << (n - 1).bit_length()  # the power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @lru_cache(maxsize=32)
 def _start_block(L: int, b: int) -> np.ndarray:
     """Read-only orthonormal L x b start block of the block iteration.
@@ -285,7 +305,7 @@ def _block_triples(f: np.ndarray, L: int, rank: int):
     """
     n = f.size
     K = n - L + 1
-    P = next_fast_len(n, real=True)
+    P = _fast_len(n)
     F = rfft(f, P)[:, None]
 
     def corr(B, rows):
@@ -417,6 +437,6 @@ def rank_reconstruction(t: EigentripleSet, indices=None) -> np.ndarray:
     """
     cols = slice(None) if indices is None else _check_indices(t, indices) - 1
     n = t.L + t.K - 1
-    P = next_fast_len(n, real=True)
+    P = _fast_len(n)
     spectrum = rfft(t.u[:, cols], P, axis=0) * rfft(t.v[:, cols], P, axis=0)
     return irfft(spectrum @ t.sigmas[cols], P)[:n] / diagonal_counts(t.L, t.K)

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import decompose, embed
 from .errors import InvalidSpec
@@ -30,6 +29,10 @@ def white_noise(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def red_noise(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     """Stationary AR(1) draw: unit marginal variance, innovation variance 1 - alpha^2."""
+    # scipy.signal takes about a second to import, so only red noise loads it;
+    # a red-noise SignalSpec loads it on construction, before the first draw
+    from scipy.signal import lfilter
+
     g = rng.standard_normal(n)
     x = np.sqrt(1.0 - alpha * alpha) * g
     x[0] = g[0]
@@ -64,6 +67,8 @@ class SignalSpec:
             raise InvalidSpec(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.b <= 0:
             raise InvalidSpec(f"base b must be > 0, got {self.b}")
+        if self.noise_family == "red":
+            import scipy.signal  # noqa: F401  (for red_noise, see there)
 
     @property
     def noise_family(self) -> Optional[str]:

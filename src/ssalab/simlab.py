@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .core import embed, leading_triples, rank_reconstruction
 from .errors import InvalidSpec, OutOfDomain, VerticalSubspace
@@ -144,6 +143,13 @@ class _Truth:
     log_b: float
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; InvalidSpec unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _finite_rank(spec: SignalSpec) -> int:
     r = exact_rank(spec)
     if r is None:
@@ -162,7 +168,7 @@ def _make_truth(
     K = spec.n - L + 1
     if not (2 <= L <= spec.n - 1 and r < L and r <= K):
         raise InvalidSpec(f"window {L} needs 2 <= L <= N-1, r < L, K >= r (N={spec.n}, r={r})")
-    rec_rank = r if rec_rank is None else int(rec_rank)
+    rec_rank = r if rec_rank is None else _integer("eigentriples", rec_rank)
     top = min(L - 1 if functional == "forecast-1-step" else L, K)
     if not 1 <= rec_rank <= top:
         raise InvalidSpec(
@@ -254,7 +260,7 @@ def mc_error_surface(
     (default: the signal rank); parameter functionals always use the rank.
     """
     tag = canonical_functional(functional)
-    windows = tuple(int(L) for L in windows)
+    windows = tuple(_integer("window", L) for L in windows)
     if not windows:
         raise InvalidSpec("need at least one window length")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
@@ -446,8 +452,8 @@ def asymptotic_variance(beta: float, gamma: float, sigma: float, n: int) -> floa
         raise OutOfDomain(f"beta must lie in (0, 1), got {beta}")
     if not 0.0 <= gamma <= 2.0:
         raise OutOfDomain(f"gamma must lie in [0, 2], got {gamma}")
-    if not (np.isfinite(sigma) and sigma >= 0) or n < 1:
-        raise OutOfDomain(f"need finite sigma >= 0 and n >= 1, got sigma={sigma}, n={n}")
+    if not (np.isfinite(sigma) and sigma >= 0 and np.isfinite(n) and n >= 1):
+        raise OutOfDomain(f"need finite sigma >= 0 and finite n >= 1, got sigma={sigma}, n={n}")
     if beta > 0.5:
         beta = 1.0 - beta
     if gamma > 1.0:
@@ -547,7 +553,8 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank] ** 2
     gram_pinv = (U * inv) @ U.T
-    cov = spec.sigma**2 * toeplitz(spec.alpha ** np.arange(L))
+    lag = np.arange(L)
+    cov = spec.sigma**2 * (spec.alpha**lag)[np.abs(lag[:, None] - lag)]
     Ur = U[:, :rank]
     M = K * gram_pinv @ cov @ (np.eye(L) - Ur @ Ur.T)
     return float(np.linalg.norm(M, 2))
@@ -601,8 +608,7 @@ class ExperimentConfig:
         if ets is not None:
             int_fields.append(("eigentriples", ets))
         for name, value in int_fields:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+            _integer(name, value)
         try:
             spec = SignalSpec(**fields)
         except TypeError as exc:

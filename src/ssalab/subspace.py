@@ -4,7 +4,6 @@ complements, and the largest-principal-angle distance."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import EigentripleSet
 from .errors import DimensionMismatch, RankTooLarge
@@ -34,10 +33,12 @@ def signal_basis(ets: EigentripleSet, r: int) -> np.ndarray:
 def noise_complement(B) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(B) in R^L."""
     M = basis_matrix(B)
-    comp = null_space(M.T)
-    if comp.shape[1] != M.shape[0] - M.shape[1]:
+    # the trailing right singular vectors of M^T, cut where scipy's null_space cuts
+    _, s, vh = np.linalg.svd(M.T, full_matrices=True)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * M.shape[0] * s[0]))
+    if rank != M.shape[1]:
         raise RankTooLarge("basis does not have full column rank")
-    return comp
+    return vh[rank:].T
 
 
 def subspace_distance(A, B) -> float:

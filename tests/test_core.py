@@ -23,6 +23,25 @@ def test_embed_rows_and_columns():
     assert X[:, 1].tolist() == [2, 3, 4]
 
 
+def test_embed_matches_scipy_hankel():
+    # scipy stays a dependency, so its constructor is the oracle for the strided copy
+    from scipy.linalg import hankel
+
+    f = np.random.default_rng(0).standard_normal(101)
+    for L in (2, 30, 51, 100):
+        X = sl.embed(f, L)
+        H = hankel(f[:L], f[L - 1:])
+        assert X.shape == H.shape and X.flags.c_contiguous
+        assert X.tobytes() == H.tobytes()
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    ns = range(1, 20001)
+    assert [core._fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
+
+
 def test_embed_rejects_degenerate_series():
     with pytest.raises(ValueError):
         sl.embed([7.0], 1)
@@ -90,6 +109,15 @@ def test_sigmas_nonincreasing():
 def test_lag_covariance_matrix_small_example():
     C = sl.lag_covariance_matrix([1, 2, 3], 2)
     np.testing.assert_allclose(C, [[14 / 3, 4.0], [4.0, 14 / 3]], atol=1e-12)
+
+
+def test_lag_covariance_matrix_matches_scipy_toeplitz():
+    from scipy.linalg import toeplitz
+
+    f = np.random.default_rng(1).standard_normal(200)
+    for L in (2, 17, 100):
+        C = sl.lag_covariance_matrix(f, L)
+        assert C.tobytes() == toeplitz(C[0]).tobytes()
 
 
 def test_toeplitz_constant_series():

@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,3 +132,28 @@ def test_gen_series_signal_is_a_fresh_copy_of_the_closed_form():
         a[:] = 0.0
         c, _ = sl.gen_series(spec, 7)
         np.testing.assert_array_equal(c, sl.signal_values(spec))
+
+
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+import ssalab, ssalab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+seen = [scipy_modules()]
+ssalab.SignalSpec("damped_cos_wn", 100)
+seen.append(scipy_modules())
+ssalab.SignalSpec("damped_cos_rn", 100)
+seen.append("scipy.signal" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_red_noise_spec_loads_scipy():
+    # a fresh interpreter, since this one has long imported scipy for the test oracles
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(src=src)],
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert json.loads(out) == [[], [], True]

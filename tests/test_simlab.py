@@ -95,9 +95,12 @@ def test_rank_too_large_for_window_is_invalid_spec():
         lambda: sl.mc_error_surface(WN, [40], 2.0, "projector"),
         lambda: sl.forecast_error_split(WN, 40, 50, 0),
         lambda: sl.mc_error_surface(WN, [3], 2, "forecast-1-step", eigentriples=3),
+        lambda: sl.mc_error_surface(WN, [40.7], 2, "projector"),
+        lambda: sl.mc_error_surface(WN, [40], 2, "reconstruction", eigentriples=2.9),
     ],
     ids=["point-negative", "point-N", "points-reps-0", "point-fraction", "surface-reps-float",
-         "split-reps-0", "forecast-eigentriples-L"],
+         "split-reps-0", "forecast-eigentriples-L", "surface-window-float",
+         "surface-eigentriples-float"],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
     def no_replication(*args, **kwargs):
@@ -204,6 +207,9 @@ def test_asymptotic_variance_domain():
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(OutOfDomain):
             sl.asymptotic_variance(0.5, 1.0, sigma, 1)
+    for n in (0, float("nan"), float("inf")):
+        with pytest.raises(OutOfDomain):
+            sl.asymptotic_variance(0.5, 1.0, 1.0, n)
 
 
 def test_empirical_variance_matches_d2_branch():

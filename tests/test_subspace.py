@@ -141,6 +141,26 @@ def test_noise_complement():
     assert np.max(np.abs(B.T @ C)) <= 1e-10
 
 
+def test_noise_complement_matches_scipy_null_space():
+    from scipy.linalg import null_space
+
+    rng = np.random.default_rng(6)
+    for L, r in [(3, 1), (20, 3), (200, 4)]:
+        B = random_basis(rng, L, r)
+        np.testing.assert_allclose(sl.noise_complement(B), null_space(B.T), rtol=0, atol=1e-12)
+
+
+def test_noise_complement_rank_deficient():
+    rng = np.random.default_rng(7)
+    B = random_basis(rng, 20, 3)
+    B[:, 2] = B[:, 0]
+    with pytest.raises(RankTooLarge):
+        sl.noise_complement(B)
+    B[:, 1:] = 0.0
+    with pytest.raises(RankTooLarge):
+        sl.noise_complement(B)
+
+
 def test_projector_materialization_limit():
     rng = np.random.default_rng(5)
     A = random_basis(rng, 4097, 1)
