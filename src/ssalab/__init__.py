@@ -31,7 +31,6 @@ from .estimate import (
 )
 from .forecast import (
     LinearRecurrence,
-    PoleSet,
     SignalModel,
     characteristic_roots,
     fit_signal_model,

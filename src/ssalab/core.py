@@ -43,6 +43,13 @@ def as_series(values) -> np.ndarray:
     return f
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_window(n: int, L: int) -> None:
     if not 2 <= L <= n - 1:
         raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
@@ -153,7 +160,7 @@ def decompose_toeplitz(series, L: int) -> EigentripleSet:
 
 
 def _check_indices(ets: EigentripleSet, indices) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=int)
+    idx = np.asarray(sorted(set(_integer("eigentriple index", i) for i in indices)), dtype=int)
     if idx.size and (idx.min() < 1 or idx.max() > ets.count):
         raise IndexOutOfRange(
             f"eigentriple indices must lie in 1..{ets.count}, got {idx.tolist()}"
@@ -395,7 +402,7 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     n = f.size
     _check_window(n, L)
     K = n - L + 1
-    rank = int(rank)
+    rank = _integer("rank", rank)
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     m = min(L, K)

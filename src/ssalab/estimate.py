@@ -1,10 +1,11 @@
 """Subspace parameter estimation: ESPRIT, Min-Norm/MUSIC pseudospectra, root methods.
 
 All estimators consume a basis of the estimated signal subspace (or its
-orthogonal complement). ESPRIT and the root methods return poles; the
-pseudospectra are one alignment routine, Min-Norm being MUSIC on a single
-noise vector. Converting poles to per-sample frequency and damping lives
-here too.
+orthogonal complement). ESPRIT and the root methods return poles as a 1-D
+complex array; the pseudospectra are one alignment routine, Min-Norm being
+MUSIC on a single noise vector. Roots that split under rounding are merged
+here (`_merge_roots`) before poles are chosen. Converting poles to
+per-sample frequency and damping lives here too.
 """
 
 from __future__ import annotations
@@ -23,15 +24,41 @@ from .errors import (
     VerticalSubspace,
     ZeroPole,
 )
-from .forecast import LinearRecurrence, PoleSet, characteristic_roots
+from .forecast import LinearRecurrence, characteristic_roots
 from .subspace import basis_matrix
 
 DEFAULT_GRIDSIZE = 2048
 UNIT_CIRCLE_SLACK = 1e-9
 CONJUGATE_PAIR_TOL = 1e-9
+ROOT_MERGE_TOL = 1e-8
 
 
-def esprit_ls(B) -> PoleSet:
+def _merge_roots(roots) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, counts): roots merged where closer than ROOT_MERGE_TOL.
+
+    A merged cluster becomes one center (the cluster mean) with its size as
+    count; exact multiple roots never survive floating point, so the
+    tolerance is what makes repeated-root models usable.
+    """
+    r = np.atleast_1d(np.asarray(roots, dtype=complex))
+    order = np.lexsort((r.imag, r.real))
+    centers: list[complex] = []
+    counts: list[int] = []
+    for z in r[order]:
+        placed = False
+        for i, c in enumerate(centers):
+            if abs(z - c) <= ROOT_MERGE_TOL:
+                centers[i] = (c * counts[i] + z) / (counts[i] + 1)
+                counts[i] += 1
+                placed = True
+                break
+        if not placed:
+            centers.append(complex(z))
+            counts.append(1)
+    return np.array(centers, dtype=complex), np.array(counts, dtype=int)
+
+
+def esprit_ls(B) -> np.ndarray:
     """Poles as the eigenvalues of the least-squares shift matrix.
 
     Solves the shift-invariance system upper D = lower. Works for any
@@ -44,10 +71,10 @@ def esprit_ls(B) -> PoleSet:
     D, _, rank, _ = np.linalg.lstsq(upper, lower, rcond=None)
     if rank < r:
         raise RankDeficientShift(f"shift system rank {rank} < r = {r}")
-    return PoleSet.from_roots(np.linalg.eigvals(D))
+    return _merge_roots(np.linalg.eigvals(D))[0]
 
 
-def esprit_tls(B) -> PoleSet:
+def esprit_tls(B) -> np.ndarray:
     """Poles as the eigenvalues of the total-least-squares shift matrix.
 
     Errors in both the shifted and unshifted blocks are minimized jointly:
@@ -65,7 +92,7 @@ def esprit_tls(B) -> PoleSet:
     if np.linalg.cond(V22) > 1e12:
         raise TlsDegenerate("TLS block V22 is numerically singular")
     Z = -np.linalg.solve(V22.T, V12.T).T
-    return PoleSet.from_roots(np.linalg.eigvals(Z))
+    return _merge_roots(np.linalg.eigvals(Z))[0]
 
 
 @dataclass(frozen=True)
@@ -77,9 +104,9 @@ class ParamEstimates:
     moduli: np.ndarray
 
 
-def poles_to_params(ps: PoleSet) -> ParamEstimates:
+def poles_to_params(poles) -> ParamEstimates:
     """Convert poles to (frequency, damping, modulus) rows, sorted by frequency."""
-    p = ps.poles
+    p = np.atleast_1d(np.asarray(poles, dtype=complex))
     if np.any(p == 0):
         raise ZeroPole("cannot convert a zero pole to frequency and damping")
     freq = np.abs(np.angle(p)) / (2.0 * np.pi)
@@ -91,15 +118,16 @@ def poles_to_params(ps: PoleSet) -> ParamEstimates:
     )
 
 
-def pair_frequencies(ps: PoleSet) -> np.ndarray:
+def pair_frequencies(poles) -> np.ndarray:
     """Nonnegative frequencies with conjugate partners collapsed, sorted ascending."""
+    p = np.atleast_1d(np.asarray(poles, dtype=complex))
     freqs = []
-    used = np.zeros(ps.poles.size, dtype=bool)
-    for i, z in enumerate(ps.poles):
+    used = np.zeros(p.size, dtype=bool)
+    for i, z in enumerate(p):
         if used[i]:
             continue
         used[i] = True
-        partners = np.where(~used & (np.abs(ps.poles - z.conjugate()) <= CONJUGATE_PAIR_TOL))[0]
+        partners = np.where(~used & (np.abs(p - z.conjugate()) <= CONJUGATE_PAIR_TOL))[0]
         if partners.size:
             used[partners[0]] = True
         freqs.append(abs(np.angle(z)) / (2.0 * np.pi))
@@ -164,7 +192,7 @@ def pseudospectrum_music(
         )
 
 
-def _closest_to_circle(candidates: np.ndarray, r: int, what: str) -> PoleSet:
+def _closest_to_circle(candidates: np.ndarray, r: int, what: str) -> np.ndarray:
     if candidates.size < r:
         raise TooFewRoots(f"only {candidates.size} {what} candidates for r = {r}")
     key = sorted(
@@ -176,8 +204,7 @@ def _closest_to_circle(candidates: np.ndarray, r: int, what: str) -> PoleSet:
             np.angle(candidates[i]),
         ),
     )
-    chosen = candidates[key[:r]]
-    return PoleSet(chosen)
+    return candidates[key[:r]]
 
 
 def root_music_polynomial(noise_basis) -> np.ndarray:
@@ -195,7 +222,7 @@ def root_music_polynomial(noise_basis) -> np.ndarray:
     return np.array([np.trace(C, offset=k) for k in range(-(L - 1), L)])
 
 
-def root_music(noise_basis, r: int) -> PoleSet:
+def root_music(noise_basis, r: int) -> np.ndarray:
     """Roots of the MUSIC polynomial on or inside the unit circle, r closest to it.
 
     Double roots on the circle split under rounding into a reciprocal pair;
@@ -205,14 +232,13 @@ def root_music(noise_basis, r: int) -> PoleSet:
     coeffs = root_music_polynomial(noise_basis)
     roots = np.roots(coeffs[::-1])
     inside = roots[np.abs(roots) <= 1.0 + UNIT_CIRCLE_SLACK]
-    merged = PoleSet.from_roots(inside).poles
-    return _closest_to_circle(merged, int(r), "unit-circle root")
+    return _closest_to_circle(_merge_roots(inside)[0], int(r), "unit-circle root")
 
 
-def root_min_norm(lrf: LinearRecurrence, r: int) -> PoleSet:
-    """The r characteristic roots of a recurrence closest to the unit circle."""
-    ps = characteristic_roots(lrf)
-    expanded = np.repeat(ps.poles, ps.multiplicities)
+def root_min_norm(lrf: LinearRecurrence, r: int) -> np.ndarray:
+    """The r characteristic roots of a recurrence closest to the unit circle;
+    a merged cluster of near-duplicate roots counts with its size."""
+    expanded = np.repeat(*_merge_roots(characteristic_roots(lrf)))
     return _closest_to_circle(expanded, int(r), "characteristic root")
 
 

@@ -5,12 +5,15 @@ order t = L-1 predicting s_n = sum_k a_k s_{n-k} is stored as the vector
 (a_t, ..., a_1), so coeffs[0] multiplies the oldest value of a chronological
 window and coeffs[-1] the newest. `characteristic_roots` places the same
 vector in the last column of the order-t companion matrix, built inline, and
-returns its eigenvalues.
+returns all t of its eigenvalues as a plain complex array; a repeated root
+comes out as nearby copies, which `estimate` merges where it needs to.
+Poles passed to `fit_signal_model` are a plain array too, a pole listed k
+times having multiplicity k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +28,15 @@ from .errors import (
 from .subspace import basis_matrix
 
 VERTICALITY_EPS = 1e-10
-ROOT_MERGE_TOL = 1e-8
 DIVERGENCE_BOUND = 1e100
 CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class LinearRecurrence:
-    """Forward recurrence coefficients (a_{L-1}, ..., a_1) plus diagnostics.
-
-    `nu2` is the squared norm of the basis edge coordinates used by the
-    min-norm construction; 0 for hand-built recurrences.
-    """
+    """Forward recurrence coefficients (a_{L-1}, ..., a_1)."""
 
     coeffs: np.ndarray
-    nu2: float = 0.0
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -47,61 +44,11 @@ class LinearRecurrence:
             raise ValueError("coefficients must form a nonempty 1-D array")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        if not 0.0 <= self.nu2 < 1.0:
-            raise ValueError(f"nu2 must lie in [0, 1), got {self.nu2}")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
         return int(self.coeffs.size)
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    """Complex signal roots with multiplicities."""
-
-    poles: np.ndarray
-    multiplicities: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.poles, dtype=complex))
-        m = self.multiplicities
-        m = np.ones(p.size, dtype=int) if m is None else np.atleast_1d(np.asarray(m, dtype=int))
-        if m.shape != p.shape:
-            raise ValueError("multiplicities must match poles")
-        if np.any(m < 1):
-            raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "poles", p)
-        object.__setattr__(self, "multiplicities", m)
-
-    @property
-    def total_degree(self) -> int:
-        return int(self.multiplicities.sum())
-
-    @staticmethod
-    def from_roots(roots) -> "PoleSet":
-        """Treat roots as simple, merging any pair closer than ROOT_MERGE_TOL.
-
-        Merged clusters become one pole (the cluster mean) with raised
-        multiplicity; exact multiple roots never survive floating point, so
-        the tolerance is what makes repeated-root models usable.
-        """
-        r = np.atleast_1d(np.asarray(roots, dtype=complex))
-        order = np.lexsort((r.imag, r.real))
-        centers: list[complex] = []
-        counts: list[int] = []
-        for z in r[order]:
-            placed = False
-            for i, c in enumerate(centers):
-                if abs(z - c) <= ROOT_MERGE_TOL:
-                    centers[i] = (c * counts[i] + z) / (counts[i] + 1)
-                    counts[i] += 1
-                    placed = True
-                    break
-            if not placed:
-                centers.append(complex(z))
-                counts.append(1)
-        return PoleSet(np.array(centers), np.array(counts))
 
 
 def min_norm_lrf(B) -> LinearRecurrence:
@@ -124,7 +71,7 @@ def min_norm_lrf(B) -> LinearRecurrence:
             f"subspace is vertical (nu2 = {nu2:.3g} >= 1 - {VERTICALITY_EPS:g}); "
             "min-norm prediction undefined"
         )
-    return LinearRecurrence(coeffs=(M[:-1, :] @ pi) / (1.0 - nu2), nu2=nu2)
+    return LinearRecurrence(coeffs=(M[:-1, :] @ pi) / (1.0 - nu2))
 
 
 def recurrent_forecast(seed, lrf: LinearRecurrence, steps: int) -> np.ndarray:
@@ -155,14 +102,15 @@ def recurrent_forecast(seed, lrf: LinearRecurrence, steps: int) -> np.ndarray:
     return out
 
 
-def characteristic_roots(lrf: LinearRecurrence) -> PoleSet:
-    """All order-many roots of mu^t - sum_k a_k mu^{t-k}, via companion eigenvalues."""
+def characteristic_roots(lrf: LinearRecurrence) -> np.ndarray:
+    """All order-many roots of mu^t - sum_k a_k mu^{t-k}: the complex
+    eigenvalues of the companion matrix, near-duplicates not merged."""
     if not np.any(lrf.coeffs != 0.0):
         raise AllZeroCoefficients("all recurrence coefficients are zero")
     t = lrf.order
     C = np.eye(t, k=-1)
     C[:, -1] = lrf.coeffs
-    return PoleSet.from_roots(np.linalg.eigvals(C))
+    return np.linalg.eigvals(C).astype(complex, copy=False)
 
 
 @dataclass(frozen=True)
@@ -187,9 +135,9 @@ class SignalModel:
         return total
 
 
-def _model_design(poles: PoleSet, n: np.ndarray) -> np.ndarray:
+def _model_design(poles: np.ndarray, multiplicities: np.ndarray, n: np.ndarray) -> np.ndarray:
     cols = []
-    for mu, k in zip(poles.poles, poles.multiplicities):
+    for mu, k in zip(poles, multiplicities):
         if mu == 0:
             raise ZeroPole("signal-model basis functions need nonzero poles")
         powers = mu**n
@@ -198,19 +146,24 @@ def _model_design(poles: PoleSet, n: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def fit_signal_model(series, poles: PoleSet) -> SignalModel:
+def fit_signal_model(series, poles) -> SignalModel:
     """Least-squares fit of polynomial-exponential terms at the given poles.
 
-    Extraneous poles of a non-minimal recurrence come out with coefficients
-    at the fit-noise level, which is how signal roots can be told apart.
+    A pole listed k times has multiplicity k; the terms keep the order in
+    which each pole first appears. Extraneous poles of a non-minimal
+    recurrence come out with coefficients at the fit-noise level, which is
+    how signal roots can be told apart.
     """
     f = as_series(series)
-    n = np.arange(f.size, dtype=float)
-    if poles.total_degree > f.size:
-        raise ValueError(
-            f"{poles.total_degree} basis functions exceed series length {f.size}"
-        )
-    design = _model_design(poles, n)
+    p = np.atleast_1d(np.asarray(poles, dtype=complex))
+    if p.ndim != 1 or p.size < 1:
+        raise ValueError("poles must form a nonempty 1-D array")
+    if p.size > f.size:
+        raise ValueError(f"{p.size} basis functions exceed series length {f.size}")
+    distinct, first, counts = np.unique(p, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    distinct, counts = distinct[order], counts[order]
+    design = _model_design(distinct, counts, np.arange(f.size, dtype=float))
     cond = np.linalg.cond(design)
     if cond > CONDITION_LIMIT:
         raise IllConditionedBasis(
@@ -218,14 +171,7 @@ def fit_signal_model(series, poles: PoleSet) -> SignalModel:
         )
     coef, _, _, _ = np.linalg.lstsq(design, f.astype(complex), rcond=None)
     residual = float(np.linalg.norm(design @ coef - f))
-    groups = []
-    pos = 0
-    for k in poles.multiplicities:
-        groups.append(coef[pos:pos + int(k)].copy())
-        pos += int(k)
+    groups = tuple(g.copy() for g in np.split(coef, np.cumsum(counts)[:-1]))
     return SignalModel(
-        poles=poles.poles.copy(),
-        multiplicities=poles.multiplicities.copy(),
-        coefficients=tuple(groups),
-        fit_residual=residual,
+        poles=distinct, multiplicities=counts, coefficients=groups, fit_residual=residual
     )

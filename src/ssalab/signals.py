@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import decompose, embed
 from .errors import InvalidSpec
-from .forecast import PoleSet
 from .subspace import signal_basis
 
 
@@ -198,18 +197,18 @@ def exact_rank(spec: SignalSpec) -> Optional[int]:
     return None if poles is None else poles.size
 
 
-def true_poles(spec: SignalSpec) -> Optional[PoleSet]:
-    """Exact characteristic roots of the signal, None for infinite-rank kinds."""
-    poles = _CATALOG[spec.kind].poles(spec)
-    return None if poles is None else PoleSet(poles)
+def true_poles(spec: SignalSpec) -> Optional[np.ndarray]:
+    """Exact characteristic roots of the signal as a complex array, None for
+    infinite-rank kinds."""
+    return _CATALOG[spec.kind].poles(spec)
 
 
 def true_frequencies(spec: SignalSpec) -> Optional[np.ndarray]:
     """Distinct nonnegative signal frequencies in cycles per sample."""
-    ps = true_poles(spec)
-    if ps is None:
+    poles = true_poles(spec)
+    if poles is None:
         return None
-    freqs = np.abs(np.angle(ps.poles)) / (2.0 * np.pi)
+    freqs = np.abs(np.angle(poles)) / (2.0 * np.pi)
     return np.unique(np.round(freqs, 15))
 
 

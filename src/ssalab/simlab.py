@@ -212,8 +212,8 @@ def _functional_error(tag: str, t, truth: _Truth) -> float:
             est = pair_frequencies(poles)
             diffs = [np.min(np.abs(est - w)) for w in truth.freqs]
         else:  # log-modulus error of the pole nearest each true frequency
-            est = np.abs(np.angle(poles.poles)) / (2.0 * np.pi)
-            logmod = np.log(np.abs(poles.poles))
+            est = np.abs(np.angle(poles)) / (2.0 * np.pi)
+            logmod = np.log(np.abs(poles))
             diffs = [logmod[np.argmin(np.abs(est - w))] - truth.log_b for w in truth.freqs]
         return float(np.sqrt(np.mean(np.square(diffs))))
     raise InvalidSpec(f"unknown functional {tag!r}")

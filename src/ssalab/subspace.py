@@ -1,5 +1,5 @@
-"""Signal-subspace bases, which are plain (L, r) arrays with 1 <= r < L, noise
-complements, and the largest-principal-angle distance."""
+"""Signal-subspace bases, which are plain finite (L, r) arrays with 1 <= r < L,
+noise complements, and the largest-principal-angle distance."""
 
 from __future__ import annotations
 
@@ -12,10 +12,13 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 def basis_matrix(B) -> np.ndarray:
-    """Return B as an (L, r) float array; ValueError unless 1 <= r < L."""
+    """Return B as an (L, r) float array; ValueError unless 1 <= r < L and
+    every entry is finite."""
     M = np.asarray(B, dtype=float)
     if M.ndim != 2 or not 1 <= M.shape[1] < M.shape[0]:
         raise ValueError(f"expected an L x r matrix with 1 <= r < L, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("basis contains NaN or infinite entries")
     return M
 
 

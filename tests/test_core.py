@@ -171,6 +171,26 @@ def test_group_matrix_rejects_bad_index():
         sl.group_matrix(ets, [ets.count + 1])
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, np.float64(1.0)])
+def test_triple_indices_must_be_integers(bad):
+    # truncating would silently select triple 1 for 1.7
+    t = sl.leading_triples(cosine(60), 20, 3)
+    with pytest.raises(ValueError, match="eigentriple index must be an integer"):
+        sl.group_matrix(t, [bad])
+    with pytest.raises(ValueError, match="eigentriple index must be an integer"):
+        sl.rank_reconstruction(t, [1, bad])
+    np.testing.assert_array_equal(
+        sl.rank_reconstruction(t, [np.int64(1)]), sl.rank_reconstruction(t, [1])
+    )
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, np.float64(2.0)])
+def test_leading_triples_rank_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        sl.leading_triples(cosine(60), 20, bad)
+    assert sl.leading_triples(cosine(60), 20, np.int64(2)).count == 2
+
+
 def test_hankelize_examples():
     np.testing.assert_allclose(sl.hankelize(np.array([[1.0, 2.0], [3.0, 4.0]])), [1, 2.5, 4])
     np.testing.assert_allclose(sl.hankelize(np.zeros((2, 2))), [0, 0, 0])

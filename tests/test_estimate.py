@@ -34,55 +34,55 @@ def pole_error(poles, truth):
 def test_esprit_ls_exponential():
     f = 2.0 ** np.arange(12)
     B = sl.signal_basis(sl.decompose(sl.embed(f, 6)), 1)
-    poles = sl.esprit_ls(B).poles
+    poles = sl.esprit_ls(B)
     assert poles.shape == (1,)
     assert poles[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_esprit_ls_cosine():
-    poles = sl.esprit_ls(cos_basis()).poles
+    poles = sl.esprit_ls(cos_basis())
     assert pole_error(poles, [TRUE_POLE, TRUE_POLE.conjugate()]) <= 1e-8
 
 
 def test_esprit_ls_similarity_invariance():
     B = cos_basis(sigma=0.1)
-    ref = np.sort_complex(sl.esprit_ls(B).poles)
+    ref = np.sort_complex(sl.esprit_ls(B))
     rng = np.random.default_rng(1)
     for _ in range(10):
         P = rng.standard_normal((2, 2))
         while abs(np.linalg.det(P)) < 0.1:
             P = rng.standard_normal((2, 2))
-        got = np.sort_complex(sl.esprit_ls(B @ P).poles)
+        got = np.sort_complex(sl.esprit_ls(B @ P))
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
 def test_esprit_tls_matches_ls_noise_free():
     B = cos_basis()
-    ls = np.sort_complex(sl.esprit_ls(B).poles)
-    tls = np.sort_complex(sl.esprit_tls(B).poles)
+    ls = np.sort_complex(sl.esprit_ls(B))
+    tls = np.sort_complex(sl.esprit_tls(B))
     np.testing.assert_allclose(ls, tls, atol=1e-8)
 
 
 def test_esprit_tls_orthogonal_invariance():
     B = cos_basis(sigma=0.1)
-    ref = np.sort_complex(sl.esprit_tls(B).poles)
+    ref = np.sort_complex(sl.esprit_tls(B))
     rng = np.random.default_rng(2)
     for _ in range(10):
         Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        got = np.sort_complex(sl.esprit_tls(B @ Q).poles)
+        got = np.sort_complex(sl.esprit_tls(B @ Q))
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
 def test_esprit_tls_depends_on_oblique_basis_change():
     B = cos_basis(sigma=0.3, seed=5)
-    ref = np.sort_complex(sl.esprit_tls(B).poles)
+    ref = np.sort_complex(sl.esprit_tls(B))
     rng = np.random.default_rng(3)
     moved = 0.0
     for _ in range(5):
         P = rng.standard_normal((2, 2)) + np.eye(2)
         if abs(np.linalg.det(P)) < 0.1:
             continue
-        got = np.sort_complex(sl.esprit_tls(B @ P).poles)
+        got = np.sort_complex(sl.esprit_tls(B @ P))
         moved = max(moved, float(np.max(np.abs(got - ref))))
     assert moved > 1e-12
 
@@ -91,8 +91,8 @@ def test_esprit_tls_depends_on_oblique_basis_change():
 
 
 def test_poles_to_params_values():
-    ps = sl.PoleSet(np.array([np.exp(2j * np.pi * 0.1), 0.99 * np.exp(2j * np.pi * 0.1), 1.0 + 0j]))
-    est = sl.poles_to_params(ps)
+    poles = np.array([np.exp(2j * np.pi * 0.1), 0.99 * np.exp(2j * np.pi * 0.1), 1.0 + 0j])
+    est = sl.poles_to_params(poles)
     np.testing.assert_allclose(np.sort(est.frequencies), [0.0, 0.1, 0.1], atol=1e-12)
     row99 = np.argmin(est.moduli)
     assert est.frequencies[row99] == pytest.approx(0.1, abs=1e-12)
@@ -103,7 +103,7 @@ def test_poles_to_params_values():
 
 def test_poles_to_params_zero_pole():
     with pytest.raises(ZeroPole):
-        sl.poles_to_params(sl.PoleSet(np.array([0.0 + 0j])))
+        sl.poles_to_params(np.array([0.0 + 0j]))
 
 
 # -- pseudospectra ------------------------------------------------------------------
@@ -202,14 +202,14 @@ def test_music_rejects_bad_inputs():
 
 def test_root_music_noise_free_cosine():
     noise = sl.noise_complement(cos_basis())
-    poles = sl.root_music(noise, 2).poles
+    poles = sl.root_music(noise, 2)
     assert pole_error(poles, [TRUE_POLE, TRUE_POLE.conjugate()]) <= 1e-6
 
 
 def test_root_music_selection_containment():
     rng = np.random.default_rng(5)
     noise = np.linalg.qr(rng.standard_normal((20, 18)))[0]
-    poles = sl.root_music(noise, 2).poles
+    poles = sl.root_music(noise, 2)
     assert poles.size == 2
     assert np.all(np.abs(poles) <= 1.0 + 1e-6)
 
@@ -224,15 +224,33 @@ def test_root_music_two_sinusoids():
 
 def test_root_min_norm_cases():
     lrf = sl.min_norm_lrf(cos_basis())
-    poles = sl.root_min_norm(lrf, 2).poles
+    poles = sl.root_min_norm(lrf, 2)
     assert pole_error(poles, [TRUE_POLE, TRUE_POLE.conjugate()]) <= 1e-8
 
     single = sl.root_min_norm(sl.LinearRecurrence(coeffs=[2.0]), 1)
-    np.testing.assert_allclose(single.poles, [2.0 + 0j])
+    np.testing.assert_allclose(single, [2.0 + 0j])
 
     damped = sl.min_norm_lrf(cos_basis(b=0.99))
-    got = sl.root_min_norm(damped, 2).poles
+    got = sl.root_min_norm(damped, 2)
     np.testing.assert_allclose(np.abs(got), 0.99, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        sl.esprit_ls,
+        sl.esprit_tls,
+        lambda B: sl.root_music(sl.noise_complement(B), 2),
+        lambda B: sl.root_min_norm(sl.min_norm_lrf(B), 2),
+        lambda B: sl.true_poles(sl.SignalSpec("damped_cos_wn", 100, b=0.99)),
+    ],
+    ids=["esprit_ls", "esprit_tls", "root_music", "root_min_norm", "true_poles"],
+)
+def test_poles_are_a_complex_vector(estimate):
+    poles = estimate(cos_basis(b=0.99))
+    assert isinstance(poles, np.ndarray)
+    assert poles.dtype == complex and poles.shape == (2,)
+    assert pole_error(poles, [0.99 * TRUE_POLE, 0.99 * TRUE_POLE.conjugate()]) <= 1e-6
 
 
 def test_root_min_norm_too_few():

@@ -83,8 +83,9 @@ def test_invalid_specs():
 def test_true_poles_and_rank():
     spec = sl.SignalSpec("two_cos", n=50)
     assert sl.exact_rank(spec) == 4
-    ps = sl.true_poles(spec)
-    np.testing.assert_allclose(np.abs(ps.poles), 1.0)
+    poles = sl.true_poles(spec)
+    assert poles.dtype == complex and poles.shape == (4,)
+    np.testing.assert_allclose(np.abs(poles), 1.0)
     np.testing.assert_allclose(
         sl.true_frequencies(spec), sorted([1 / 21, 1 / 19]), atol=1e-15
     )

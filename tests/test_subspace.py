@@ -85,6 +85,30 @@ def test_basis_requires_orthonormal_columns():
         sl.signal_basis(triples_with_u(np.eye(3)), 3)  # r == L not allowed
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda B: sl.signal_basis(triples_with_u(B), 2),
+        sl.esprit_ls,
+        sl.esprit_tls,
+        sl.min_norm_lrf,
+        sl.pseudospectrum_minnorm,
+        sl.noise_complement,
+        lambda B: sl.subspace_distance(np.eye(8, 2), B),
+    ],
+    ids=[
+        "signal_basis", "esprit_ls", "esprit_tls", "min_norm_lrf",
+        "pseudospectrum_minnorm", "noise_complement", "subspace_distance",
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_basis_rejected(call, bad):
+    B = np.linalg.qr(np.random.default_rng(9).standard_normal((8, 2)))[0]
+    B[0, 0] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        call(B)
+
+
 def test_distance_identical_and_45_degrees():
     A = np.array([[1.0], [0.0]])
     B = np.array([[1.0], [1.0]]) / np.sqrt(2)
