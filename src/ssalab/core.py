@@ -43,14 +43,15 @@ def as_series(values) -> np.ndarray:
     return f
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer (a bool is not)."""
+def _integer(name: str, value, error=ValueError) -> int:
+    """value as an int; `error` unless it is an integer (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _check_window(n: int, L: int) -> None:
+    _integer("window length", L, WindowOutOfRange)
     if not 2 <= L <= n - 1:
         raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
 

@@ -192,6 +192,16 @@ def pseudospectrum_music(
         )
 
 
+def _count(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer >= 1 (a bool is not).
+
+    A local check: core's integer check would be one more cross-layer import.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _closest_to_circle(candidates: np.ndarray, r: int, what: str) -> np.ndarray:
     if candidates.size < r:
         raise TooFewRoots(f"only {candidates.size} {what} candidates for r = {r}")
@@ -229,17 +239,19 @@ def root_music(noise_basis, r: int) -> np.ndarray:
     a small slack plus near-duplicate merging keeps exactly one candidate per
     pair. Ties break toward larger modulus, then smaller frequency.
     """
+    r = _count("pole count r", r)
     coeffs = root_music_polynomial(noise_basis)
     roots = np.roots(coeffs[::-1])
     inside = roots[np.abs(roots) <= 1.0 + UNIT_CIRCLE_SLACK]
-    return _closest_to_circle(_merge_roots(inside)[0], int(r), "unit-circle root")
+    return _closest_to_circle(_merge_roots(inside)[0], r, "unit-circle root")
 
 
 def root_min_norm(lrf: LinearRecurrence, r: int) -> np.ndarray:
     """The r characteristic roots of a recurrence closest to the unit circle;
     a merged cluster of near-duplicate roots counts with its size."""
+    r = _count("pole count r", r)
     expanded = np.repeat(*_merge_roots(characteristic_roots(lrf)))
-    return _closest_to_circle(expanded, int(r), "characteristic root")
+    return _closest_to_circle(expanded, r, "characteristic root")
 
 
 def find_peaks(ps: Pseudospectrum, count: int) -> np.ndarray:
@@ -249,8 +261,7 @@ def find_peaks(ps: Pseudospectrum, count: int) -> np.ndarray:
     neighborhood; it falls back to the grid point when a neighbor is infinite
     or the curvature degenerates.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = _count("peak count", count)
     v = np.asarray(ps.values, dtype=float)
     om = np.asarray(ps.omegas, dtype=float)
     interior = np.arange(1, v.size - 1)

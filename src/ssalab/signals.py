@@ -6,7 +6,9 @@ the signal's poles, whose count is its rank. `gen_series` returns signal and
 residual separately so error functionals always know the truth. Exponential
 damping is written through the base b (s_n contains b^n), white noise has
 standard deviation sigma, and red noise is the stationary AR(1) process with
-coefficient alpha and unit variance before scaling by sigma.
+coefficient alpha and unit variance before scaling by sigma. The AR(1)
+recurrence runs as a numpy prefix scan of at most ceil(log2 n) vector
+passes, so no draw needs scipy.
 """
 
 from __future__ import annotations
@@ -27,15 +29,24 @@ def white_noise(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def red_noise(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
-    """Stationary AR(1) draw: unit marginal variance, innovation variance 1 - alpha^2."""
-    # scipy.signal takes about a second to import, so only red noise loads it;
-    # a red-noise SignalSpec loads it on construction, before the first draw
-    from scipy.signal import lfilter
+    """Stationary AR(1) draw: unit marginal variance, innovation variance 1 - alpha^2.
 
+    The recurrence y[i] = x[i] + alpha y[i-1] runs as a recursive-doubling
+    scan (Hillis-Steele): after the pass with shift s, y[i] holds the sum of
+    alpha^k x[i-k] over k < 2s. The scan stops at s >= n, or once |alpha|^s
+    is below 2^-60 (1 - |alpha|), where the dropped tail is below 2^-60 max|x|:
+    at most ceil(log2 n) passes, 6 at alpha = 0.5. For alpha up to 0.99 it stays
+    within 1e-15 max|y| of the recurrence evaluated exactly, as close as a
+    serial filter gets.
+    """
     g = rng.standard_normal(n)
-    x = np.sqrt(1.0 - alpha * alpha) * g
-    x[0] = g[0]
-    return lfilter([1.0], [1.0, -alpha], x)
+    y = np.sqrt(1.0 - alpha * alpha) * g
+    y[0] = g[0]
+    s, p = 1, alpha
+    while s < n and abs(p) > 2.0**-60 * (1.0 - abs(alpha)):
+        y[s:] += p * y[:-s]
+        s, p = 2 * s, p * p
+    return y
 
 
 @dataclass(frozen=True)
@@ -66,8 +77,6 @@ class SignalSpec:
             raise InvalidSpec(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.b <= 0:
             raise InvalidSpec(f"base b must be > 0, got {self.b}")
-        if self.noise_family == "red":
-            import scipy.signal  # noqa: F401  (for red_noise, see there)
 
     @property
     def noise_family(self) -> Optional[str]:

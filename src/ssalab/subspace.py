@@ -25,6 +25,9 @@ def basis_matrix(B) -> np.ndarray:
 def signal_basis(ets: EigentripleSet, r: int) -> np.ndarray:
     """The r leading left vectors; ValueError unless orthonormal with r < L."""
     d = ets.sigmas.size
+    # a local check: core's integer check would be one more cross-layer import
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"rank r must be an integer, got {r!r}")
     if not 1 <= r <= d:
         raise RankTooLarge(f"rank r={r} outside 1..{d} retained triples")
     B = basis_matrix(ets.u[:, :r].copy())

@@ -191,6 +191,19 @@ def test_leading_triples_rank_must_be_an_integer(bad):
     assert sl.leading_triples(cosine(60), 20, np.int64(2)).count == 2
 
 
+@pytest.mark.parametrize(
+    "call",
+    [sl.embed, lambda f, L: sl.leading_triples(f, L, 2), sl.decompose_toeplitz],
+    ids=["embed", "leading_triples", "decompose_toeplitz"],
+)
+@pytest.mark.parametrize("bad", [20.5, 20.0, True, np.float64(20.0)])
+def test_window_must_be_an_integer(call, bad):
+    # a float window used to reach numpy as a shape or a slice bound
+    with pytest.raises(WindowOutOfRange, match="window length must be an integer"):
+        call(cosine(60), bad)
+    assert call(cosine(60), np.int64(20)) is not None
+
+
 def test_hankelize_examples():
     np.testing.assert_allclose(sl.hankelize(np.array([[1.0, 2.0], [3.0, 4.0]])), [1, 2.5, 4])
     np.testing.assert_allclose(sl.hankelize(np.zeros((2, 2))), [0, 0, 0])

@@ -281,3 +281,19 @@ def test_find_peaks_two_sinusoids():
     ps = sl.pseudospectrum_music(sl.noise_complement(sl.signal_basis(ets, 4)), gridsize=2048)
     peaks = sl.find_peaks(ps, 2)
     np.testing.assert_allclose(peaks, [1 / 21, 1 / 19], atol=1e-3)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(2.0), 0, -1])
+def test_pole_and_peak_counts_must_be_positive_integers(bad):
+    # truncating would return two poles for r = 2.5
+    B = cos_basis(sigma=0.01)
+    noise = sl.noise_complement(B)
+    lrf = sl.min_norm_lrf(B)
+    ps = sl.pseudospectrum_music(noise, gridsize=256)
+    for call in (lambda: sl.root_music(noise, bad), lambda: sl.root_min_norm(lrf, bad),
+                 lambda: sl.find_peaks(ps, bad)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            call()
+    assert sl.root_music(noise, np.int64(2)).size == 2
+    assert sl.root_min_norm(lrf, np.int64(2)).size == 2
+    assert sl.find_peaks(ps, np.int64(1)).size == 1

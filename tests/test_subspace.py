@@ -190,3 +190,13 @@ def test_projector_materialization_limit():
     A = random_basis(rng, 4097, 1)
     with pytest.raises(ValueError):
         projector_distance(A, A)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(2.0)])
+def test_signal_basis_rank_must_be_an_integer(bad):
+    # a float rank used to reach numpy as a slice bound
+    n = np.arange(100)
+    ets = sl.decompose(sl.embed(np.cos(2 * np.pi * n / 10), 20))
+    with pytest.raises(ValueError, match="rank r must be an integer"):
+        sl.signal_basis(ets, bad)
+    assert sl.signal_basis(ets, np.int64(2)).shape == (20, 2)
