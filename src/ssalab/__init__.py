@@ -30,7 +30,6 @@ from .estimate import (
     root_music,
 )
 from .forecast import (
-    LinearRecurrence,
     SignalModel,
     characteristic_roots,
     fit_signal_model,

@@ -144,7 +144,7 @@ def cmd_forecast(args) -> None:
         ets_rec if lrf_window == rec_window else _decomposition(f, lrf_window, args.toeplitz)
     )
     lrf = min_norm_lrf(signal_basis(ets_lrf, args.rank))
-    values = recurrent_forecast(rec[-lrf.order:], lrf, args.steps) + mean
+    values = recurrent_forecast(rec[-lrf.size:], lrf, args.steps) + mean
     sio.write_series(args.output, values, fmt=args.format, header="forecast")
 
 

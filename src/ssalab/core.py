@@ -23,7 +23,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DecompositionFailed, IndexOutOfRange, WindowOutOfRange
+from .errors import DecompositionFailed, IndexOutOfRange, WindowOutOfRange, integer
 
 DEFAULT_SIGMA_CUTOFF = 1e-12
 
@@ -43,15 +43,8 @@ def as_series(values) -> np.ndarray:
     return f
 
 
-def _integer(name: str, value, error=ValueError) -> int:
-    """value as an int; `error` unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_window(n: int, L: int) -> None:
-    _integer("window length", L, WindowOutOfRange)
+    integer("window length", L, WindowOutOfRange)
     if not 2 <= L <= n - 1:
         raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
 
@@ -161,7 +154,7 @@ def decompose_toeplitz(series, L: int) -> EigentripleSet:
 
 
 def _check_indices(ets: EigentripleSet, indices) -> np.ndarray:
-    idx = np.asarray(sorted(set(_integer("eigentriple index", i) for i in indices)), dtype=int)
+    idx = np.asarray(sorted(set(integer("eigentriple index", i) for i in indices)), dtype=int)
     if idx.size and (idx.min() < 1 or idx.max() > ets.count):
         raise IndexOutOfRange(
             f"eigentriple indices must lie in 1..{ets.count}, got {idx.tolist()}"
@@ -403,9 +396,7 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     n = f.size
     _check_window(n, L)
     K = n - L + 1
-    rank = _integer("rank", rank)
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    rank = integer("rank", rank, minimum=1)
     m = min(L, K)
     if rank > m:
         raise ValueError(f"rank {rank} exceeds min(L, K) = {m}")

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and `integer`, the one check
+that every layer runs on a count, a window, a rank or a seed.
 
 Every error message names the precondition that failed, so CLI diagnostics
 stay one line.
 """
+
+import numpy as np
 
 
 class SsaError(ValueError):
@@ -79,3 +82,16 @@ class InvalidSpec(SsaError):
 
 class OutOfDomain(SsaError):
     """Argument outside the formula's domain."""
+
+
+def integer(name: str, value, error=ValueError, minimum=None) -> int:
+    """value as an int; `error` unless it is an int or a numpy integer (a bool
+    is not) and, when `minimum` is given, at least `minimum`."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)

@@ -23,8 +23,9 @@ from .errors import (
     TooFewRoots,
     VerticalSubspace,
     ZeroPole,
+    integer,
 )
-from .forecast import LinearRecurrence, characteristic_roots
+from .forecast import characteristic_roots
 from .subspace import basis_matrix
 
 DEFAULT_GRIDSIZE = 2048
@@ -162,9 +163,7 @@ def _alignment(vectors, omegas, eigenvalues=None) -> np.ndarray:
 
 
 def _grid(gridsize: int) -> np.ndarray:
-    if gridsize < 2:
-        raise ValueError(f"gridsize must be >= 2, got {gridsize}")
-    return np.linspace(0.0, 0.5, int(gridsize))
+    return np.linspace(0.0, 0.5, integer("gridsize", gridsize, minimum=2))
 
 
 def pseudospectrum_minnorm(B, gridsize: int = DEFAULT_GRIDSIZE) -> Pseudospectrum:
@@ -190,16 +189,6 @@ def pseudospectrum_music(
         return Pseudospectrum(
             omegas=om, values=1.0 / f, method="music" if eigenvalues is None else "ev"
         )
-
-
-def _count(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer >= 1 (a bool is not).
-
-    A local check: core's integer check would be one more cross-layer import.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _closest_to_circle(candidates: np.ndarray, r: int, what: str) -> np.ndarray:
@@ -239,18 +228,19 @@ def root_music(noise_basis, r: int) -> np.ndarray:
     a small slack plus near-duplicate merging keeps exactly one candidate per
     pair. Ties break toward larger modulus, then smaller frequency.
     """
-    r = _count("pole count r", r)
+    r = integer("pole count r", r, minimum=1)
     coeffs = root_music_polynomial(noise_basis)
     roots = np.roots(coeffs[::-1])
     inside = roots[np.abs(roots) <= 1.0 + UNIT_CIRCLE_SLACK]
     return _closest_to_circle(_merge_roots(inside)[0], r, "unit-circle root")
 
 
-def root_min_norm(lrf: LinearRecurrence, r: int) -> np.ndarray:
-    """The r characteristic roots of a recurrence closest to the unit circle;
-    a merged cluster of near-duplicate roots counts with its size."""
-    r = _count("pole count r", r)
-    expanded = np.repeat(*_merge_roots(characteristic_roots(lrf)))
+def root_min_norm(coeffs, r: int) -> np.ndarray:
+    """The r characteristic roots of a recurrence's coefficient vector closest
+    to the unit circle; a merged cluster of near-duplicate roots counts with
+    its size."""
+    r = integer("pole count r", r, minimum=1)
+    expanded = np.repeat(*_merge_roots(characteristic_roots(coeffs)))
     return _closest_to_circle(expanded, r, "characteristic root")
 
 
@@ -261,7 +251,7 @@ def find_peaks(ps: Pseudospectrum, count: int) -> np.ndarray:
     neighborhood; it falls back to the grid point when a neighbor is infinite
     or the curvature degenerates.
     """
-    count = _count("peak count", count)
+    count = integer("peak count", count, minimum=1)
     v = np.asarray(ps.values, dtype=float)
     om = np.asarray(ps.omegas, dtype=float)
     interior = np.arange(1, v.size - 1)

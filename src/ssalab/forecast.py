@@ -1,12 +1,14 @@
 """Min-norm linear recurrences, recurrent forecasting, and parametric signal fits.
 
-Coefficient storage follows the min-norm solution layout: a recurrence of
-order t = L-1 predicting s_n = sum_k a_k s_{n-k} is stored as the vector
-(a_t, ..., a_1), so coeffs[0] multiplies the oldest value of a chronological
-window and coeffs[-1] the newest. `characteristic_roots` places the same
-vector in the last column of the order-t companion matrix, built inline, and
-returns all t of its eigenvalues as a plain complex array; a repeated root
-comes out as nearby copies, which `estimate` merges where it needs to.
+A recurrence is a plain 1-D float array in the min-norm solution layout: one
+of order t = L-1 predicting s_n = sum_k a_k s_{n-k} is the vector
+(a_t, ..., a_1), so a[0] multiplies the oldest value of a chronological
+window and a[-1] the newest, and the next value after a series `rec` is
+a @ rec[-a.size:]. `recurrent_forecast` and `characteristic_roots` accept a
+vector only when it is 1-D, nonempty and finite. `characteristic_roots`
+places it in the last column of the order-t companion matrix, built inline,
+and returns all t of its eigenvalues as a plain complex array; a repeated
+root comes out as nearby copies, which `estimate` merges where it needs to.
 Poles passed to `fit_signal_model` are a plain array too, a pole listed k
 times having multiplicity k.
 """
@@ -24,6 +26,7 @@ from .errors import (
     IllConditionedBasis,
     VerticalSubspace,
     ZeroPole,
+    integer,
 )
 from .subspace import basis_matrix
 
@@ -32,27 +35,20 @@ DIVERGENCE_BOUND = 1e100
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
-    """Forward recurrence coefficients (a_{L-1}, ..., a_1)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coefficients must form a nonempty 1-D array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return int(self.coeffs.size)
+def _coefficients(coeffs) -> np.ndarray:
+    """Recurrence coefficients as a 1-D float array; ValueError unless
+    nonempty and finite."""
+    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if a.ndim != 1 or a.size < 1:
+        raise ValueError("coefficients must form a nonempty 1-D array")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("coefficients must be finite")
+    return a
 
 
-def min_norm_lrf(B) -> LinearRecurrence:
-    """Minimum-norm forward recurrence read off an orthonormal signal-subspace basis.
+def min_norm_lrf(B) -> np.ndarray:
+    """Minimum-norm forward recurrence read off an orthonormal signal-subspace
+    basis, as its coefficient vector (a_{L-1}, ..., a_1).
 
     Coefficients are the normalized projection of the last coordinate axis
     onto the orthogonal complement of the subspace; the backward recurrence
@@ -71,27 +67,27 @@ def min_norm_lrf(B) -> LinearRecurrence:
             f"subspace is vertical (nu2 = {nu2:.3g} >= 1 - {VERTICALITY_EPS:g}); "
             "min-norm prediction undefined"
         )
-    return LinearRecurrence(coeffs=(M[:-1, :] @ pi) / (1.0 - nu2))
+    return (M[:-1, :] @ pi) / (1.0 - nu2)
 
 
-def recurrent_forecast(seed, lrf: LinearRecurrence, steps: int) -> np.ndarray:
+def recurrent_forecast(seed, coeffs, steps: int) -> np.ndarray:
     """Iterate a recurrence from the seed window; returns the new values.
 
-    `seed` holds the last order-many values in chronological order and must
+    `seed` holds the last coeffs.size values in chronological order and must
     be finite. Values exceeding DIVERGENCE_BOUND in magnitude raise
     ForecastDiverged, the symptom of extraneous roots escaping the unit circle.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = integer("steps", steps, minimum=1)
+    a = _coefficients(coeffs)
     window = np.asarray(seed, dtype=float).ravel()
-    if window.size != lrf.order:
-        raise ValueError(f"seed length {window.size} != recurrence order {lrf.order}")
+    if window.size != a.size:
+        raise ValueError(f"seed length {window.size} != recurrence order {a.size}")
     if not np.all(np.isfinite(window)):
         raise ValueError("seed contains NaN or infinite values")
     out = np.empty(steps)
     buf = window.copy()
     for m in range(steps):
-        val = float(lrf.coeffs @ buf)
+        val = float(a @ buf)
         if not np.isfinite(val) or abs(val) > DIVERGENCE_BOUND:
             raise ForecastDiverged(
                 f"forecast value |{val:.3g}| exceeded bound {DIVERGENCE_BOUND:.3g} at step {m + 1}"
@@ -102,14 +98,15 @@ def recurrent_forecast(seed, lrf: LinearRecurrence, steps: int) -> np.ndarray:
     return out
 
 
-def characteristic_roots(lrf: LinearRecurrence) -> np.ndarray:
-    """All order-many roots of mu^t - sum_k a_k mu^{t-k}: the complex
+def characteristic_roots(coeffs) -> np.ndarray:
+    """All t = coeffs.size roots of mu^t - sum_k a_k mu^{t-k}: the complex
     eigenvalues of the companion matrix, near-duplicates not merged."""
-    if not np.any(lrf.coeffs != 0.0):
+    a = _coefficients(coeffs)
+    if not np.any(a != 0.0):
         raise AllZeroCoefficients("all recurrence coefficients are zero")
-    t = lrf.order
+    t = a.size
     C = np.eye(t, k=-1)
-    C[:, -1] = lrf.coeffs
+    C[:, -1] = a
     return np.linalg.eigvals(C).astype(complex, copy=False)
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import decompose, embed
-from .errors import InvalidSpec
+from .errors import InvalidSpec, integer
 from .subspace import signal_basis
 
 
@@ -63,10 +63,7 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in _CATALOG:
             raise InvalidSpec(f"unknown signal kind {self.kind!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise InvalidSpec(f"series length must be an integer, got {self.n!r}")
-        if self.n < 3:
-            raise InvalidSpec(f"series length must be >= 3, got {self.n}")
+        integer("series length", self.n, InvalidSpec, minimum=3)
         for name in ("b", "c", "sigma"):
             value = getattr(self, name)
             if not np.isfinite(value):

@@ -7,8 +7,9 @@ gen_series, takes leading_triples(observed, L, r) once per declared (L, r) and
 passes them to the experiment's evaluate(triples, row, failed_row), which fills
 row i only; so results are identical for any worker count. The pool size is
 min(cpu count, SSA_LAB_THREADS) unless a call asks for fewer. `_make_truth`
-holds every check of rank, window and eigentriple count, so bad input raises
-InvalidSpec before any replication runs.
+holds every check of rank, window and eigentriple count and `_replicate`
+checks reps and the master seed first, so bad input raises InvalidSpec
+before any replication runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import embed, leading_triples, rank_reconstruction
-from .errors import InvalidSpec, OutOfDomain, VerticalSubspace
+from .errors import InvalidSpec, OutOfDomain, VerticalSubspace, integer
 from .estimate import esprit_ls, pair_frequencies
 from .forecast import min_norm_lrf
 from .signals import (
@@ -98,8 +99,8 @@ def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width
     Replication i calls evaluate(triples, errors[i], failed[i]) with one
     leading_triples result per (L, r) in `shapes`; errors start as NaN.
     """
-    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise InvalidSpec(f"reps must be an integer >= 1, got {reps!r}")
+    master_seed = integer("master_seed", master_seed, InvalidSpec)
+    reps = integer("reps", reps, InvalidSpec, minimum=1)
     errors = np.full((reps, width), np.nan)
     failed = np.zeros((reps, width), dtype=bool)
 
@@ -143,13 +144,6 @@ class _Truth:
     log_b: float
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; InvalidSpec unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _finite_rank(spec: SignalSpec) -> int:
     r = exact_rank(spec)
     if r is None:
@@ -168,7 +162,7 @@ def _make_truth(
     K = spec.n - L + 1
     if not (2 <= L <= spec.n - 1 and r < L and r <= K):
         raise InvalidSpec(f"window {L} needs 2 <= L <= N-1, r < L, K >= r (N={spec.n}, r={r})")
-    rec_rank = r if rec_rank is None else _integer("eigentriples", rec_rank)
+    rec_rank = r if rec_rank is None else integer("eigentriples", rec_rank, InvalidSpec)
     top = min(L - 1 if functional == "forecast-1-step" else L, K)
     if not 1 <= rec_rank <= top:
         raise InvalidSpec(
@@ -204,7 +198,7 @@ def _functional_error(tag: str, t, truth: _Truth) -> float:
             tail = rec[-10:] - truth.signal[-10:]
             return float(np.sqrt(np.mean(tail**2)))
         lrf = min_norm_lrf(t.u)
-        pred = float(lrf.coeffs @ rec[-lrf.order:])
+        pred = float(lrf @ rec[-lrf.size:])
         return abs(pred - truth.next_value)
     if tag in ("frequency", "base"):
         poles = esprit_ls(t.u)
@@ -260,7 +254,7 @@ def mc_error_surface(
     (default: the signal rank); parameter functionals always use the rank.
     """
     tag = canonical_functional(functional)
-    windows = tuple(_integer("window", L) for L in windows)
+    windows = tuple(integer("window", L, InvalidSpec) for L in windows)
     if not windows:
         raise InvalidSpec("need at least one window length")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
@@ -512,11 +506,11 @@ def forecast_error_split(
             failed_row[:] = True
             return
         rec = rank_reconstruction(triples[1])
-        tail_rec = rec[-est_lrf.order:]
-        tail_true = truth.signal[-est_lrf.order:]
-        row[0] = float(est_lrf.coeffs @ tail_rec) - truth.next_value
-        row[1] = float(est_lrf.coeffs @ tail_true) - truth.next_value
-        row[2] = float(exact_lrf.coeffs @ tail_rec) - truth.next_value
+        tail_rec = rec[-est_lrf.size:]
+        tail_true = truth.signal[-est_lrf.size:]
+        row[0] = float(est_lrf @ tail_rec) - truth.next_value
+        row[1] = float(est_lrf @ tail_true) - truth.next_value
+        row[2] = float(exact_lrf @ tail_rec) - truth.next_value
 
     shapes = [(lrf_window, truth.rank), (rec_window, truth.rank)]
     errors, failed = _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, 3)
@@ -601,14 +595,12 @@ class ExperimentConfig:
         windows = doc.get("windows")
         if not isinstance(windows, (list, tuple)) or not windows:
             raise InvalidSpec("config needs a nonempty 'windows' list")
-        reps = doc.get("reps", 100)
+        reps = integer("reps", doc.get("reps", 100), InvalidSpec, minimum=1)
+        seed = integer("seed", seed, InvalidSpec)
+        windows = tuple(integer("window", w, InvalidSpec) for w in windows)
         ets = doc.get("eigentriples")
-        int_fields = [("reps", reps), ("seed", seed)]
-        int_fields += [("window", w) for w in windows]
         if ets is not None:
-            int_fields.append(("eigentriples", ets))
-        for name, value in int_fields:
-            _integer(name, value)
+            ets = integer("eigentriples", ets, InvalidSpec)
         try:
             spec = SignalSpec(**fields)
         except TypeError as exc:
@@ -616,20 +608,17 @@ class ExperimentConfig:
         kind = noise.get("kind")
         if kind is not None and kind != spec.noise_family:
             raise InvalidSpec(f"noise kind {kind!r} conflicts with signal kind {spec.kind!r}")
-        if reps < 1:
-            raise InvalidSpec(f"reps must be >= 1, got {reps}")
-        windows = tuple(int(w) for w in windows)
         functional = canonical_functional(doc.get("functional", "reconstruction"))
         for L in windows:
             _make_truth(spec, L, ets, functional)
         return ExperimentConfig(
             spec=spec,
             windows=windows,
-            reps=int(reps),
+            reps=reps,
             functional=functional,
-            seed=int(seed),
+            seed=seed,
             output=doc.get("output"),
-            eigentriples=None if ets is None else int(ets),
+            eigentriples=ets,
         )
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import EigentripleSet
-from .errors import DimensionMismatch, RankTooLarge
+from .errors import DimensionMismatch, RankTooLarge, integer
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -25,9 +25,7 @@ def basis_matrix(B) -> np.ndarray:
 def signal_basis(ets: EigentripleSet, r: int) -> np.ndarray:
     """The r leading left vectors; ValueError unless orthonormal with r < L."""
     d = ets.sigmas.size
-    # a local check: core's integer check would be one more cross-layer import
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-        raise ValueError(f"rank r must be an integer, got {r!r}")
+    r = integer("rank r", r)
     if not 1 <= r <= d:
         raise RankTooLarge(f"rank r={r} outside 1..{d} retained triples")
     B = basis_matrix(ets.u[:, :r].copy())

@@ -58,7 +58,7 @@ def test_noise_free_exactness_suite():
         assert rec_err <= tol, (label, "reconstruction", rec_err)
 
         lrf = sl.min_norm_lrf(sl.leading_triples(f, L, rank).u)
-        fc = sl.recurrent_forecast(rec[-lrf.order:], lrf, 10)
+        fc = sl.recurrent_forecast(rec[-lrf.size:], lrf, 10)
         fc_err = float(np.max(np.abs(fc - s[spec.n:])))
         assert fc_err <= tol, (label, "forecast", fc_err)
 

@@ -120,7 +120,7 @@ def test_minnorm_peak_at_signal_frequency():
 def minnorm_alignment(B, omegas):
     """Oracle: squared cosine between the steering vector and the min-norm
     vector, the recurrence (-a, 1) of min_norm_lrf up to scale."""
-    a = np.append(-sl.min_norm_lrf(B).coeffs, 1.0)
+    a = np.append(-sl.min_norm_lrf(B), 1.0)
     G = np.exp(2j * np.pi * np.outer(omegas, np.arange(a.size))) @ a
     return np.abs(G) ** 2 / (a.size * float(a @ a))
 
@@ -227,7 +227,7 @@ def test_root_min_norm_cases():
     poles = sl.root_min_norm(lrf, 2)
     assert pole_error(poles, [TRUE_POLE, TRUE_POLE.conjugate()]) <= 1e-8
 
-    single = sl.root_min_norm(sl.LinearRecurrence(coeffs=[2.0]), 1)
+    single = sl.root_min_norm(np.array([2.0]), 1)
     np.testing.assert_allclose(single, [2.0 + 0j])
 
     damped = sl.min_norm_lrf(cos_basis(b=0.99))
@@ -255,7 +255,7 @@ def test_poles_are_a_complex_vector(estimate):
 
 def test_root_min_norm_too_few():
     with pytest.raises(TooFewRoots):
-        sl.root_min_norm(sl.LinearRecurrence(coeffs=[2.0]), 2)
+        sl.root_min_norm(np.array([2.0]), 2)
 
 
 # -- peak finding ------------------------------------------------------------------
@@ -294,6 +294,12 @@ def test_pole_and_peak_counts_must_be_positive_integers(bad):
                  lambda: sl.find_peaks(ps, bad)):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             call()
+    # truncating would return a 2-point grid for gridsize = 2.5
+    for call in (lambda: sl.pseudospectrum_music(noise, gridsize=bad),
+                 lambda: sl.pseudospectrum_minnorm(B, gridsize=bad)):
+        with pytest.raises(ValueError, match="gridsize must be an integer >= 2"):
+            call()
     assert sl.root_music(noise, np.int64(2)).size == 2
     assert sl.root_min_norm(lrf, np.int64(2)).size == 2
     assert sl.find_peaks(ps, np.int64(1)).size == 1
+    assert sl.pseudospectrum_music(noise, gridsize=np.int64(2)).omegas.size == 2

@@ -97,10 +97,15 @@ def test_rank_too_large_for_window_is_invalid_spec():
         lambda: sl.mc_error_surface(WN, [3], 2, "forecast-1-step", eigentriples=3),
         lambda: sl.mc_error_surface(WN, [40.7], 2, "projector"),
         lambda: sl.mc_error_surface(WN, [40], 2, "reconstruction", eigentriples=2.9),
+        lambda: sl.mc_error_surface(WN, [40], 2, "projector", master_seed="x"),
+        lambda: sl.mc_point_errors(WN, 40, [10], 2, master_seed=True),
+        lambda: sl.convergence_ratio(WN, 100, "projector", "20", 2, master_seed=1.5),
+        lambda: sl.forecast_error_split(WN, 40, 50, 2, master_seed=np.float64(3.0)),
     ],
     ids=["point-negative", "point-N", "points-reps-0", "point-fraction", "surface-reps-float",
          "split-reps-0", "forecast-eigentriples-L", "surface-window-float",
-         "surface-eigentriples-float"],
+         "surface-eigentriples-float", "surface-seed-text", "points-seed-bool",
+         "convergence-seed-float", "split-seed-numpy-float"],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
     def no_replication(*args, **kwargs):
