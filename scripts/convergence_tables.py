@@ -20,7 +20,6 @@ KINDS = {
     "wn": ("damped_cos_wn", dict(b=1.0, sigma=0.1)),
     "rn": ("damped_cos_rn", dict(b=1.0, sigma=0.1, alpha=0.5)),
 }
-POLICIES = ("r+1", "20", "25", "half-5", "half")
 FUNCTIONALS = ("reconstruction", "projector", "base", "frequency")
 
 
@@ -41,7 +40,7 @@ def main() -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["L"] + list(args.kinds))
-            for policy in POLICIES:
+            for policy in sl.simlab.WINDOW_POLICIES:
                 row = [policy]
                 for key in args.kinds:
                     kind, params = KINDS[key]

@@ -17,8 +17,6 @@ from .core import (
 )
 from .errors import SsaError
 from .estimate import (
-    ParamEstimates,
-    Pseudospectrum,
     esprit_ls,
     esprit_tls,
     find_peaks,

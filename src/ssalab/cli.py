@@ -26,7 +26,6 @@ from .core import (
 from .errors import EmptyNoiseBasis, SsaError
 from .estimate import (
     find_peaks,
-    ParamEstimates,
     poles_to_params,
     pseudospectrum_minnorm,
     pseudospectrum_music,
@@ -160,7 +159,7 @@ def _noise_side(ets, rank: int):
     return basis, noise, lams
 
 
-def _estimates_from_method(args, ets) -> ParamEstimates:
+def _estimates_from_method(args, ets) -> np.ndarray:
     r = args.rank
     method = args.method
     if method in ("esprit-ls", "esprit-tls"):
@@ -174,16 +173,10 @@ def _estimates_from_method(args, ets) -> ParamEstimates:
     if method == "root-music":
         _, noise, _ = _noise_side(ets, r)
         return poles_to_params(root_music(noise, r))
-    if method in ("minnorm", "music", "ev"):
-        ps = _pseudospectrum_from_method(args, ets)
-        peaks = find_peaks(ps, (r + 1) // 2)
-        # peak methods only locate frequencies; damping 0 / modulus 1 mark that
-        return ParamEstimates(
-            frequencies=np.asarray(peaks),
-            dampings=np.zeros(len(peaks)),
-            moduli=np.ones(len(peaks)),
-        )
-    raise ParseError(f"unknown estimation method {method!r}")
+    # minnorm, music, ev: peak methods only locate frequencies; damping 0 /
+    # modulus 1 mark that
+    peaks = find_peaks(_pseudospectrum_from_method(args, ets), (r + 1) // 2)
+    return np.column_stack([peaks, np.zeros(peaks.size), np.ones(peaks.size)])
 
 
 def _pseudospectrum_from_method(args, ets):
@@ -193,13 +186,11 @@ def _pseudospectrum_from_method(args, ets):
         return pseudospectrum_minnorm(basis, gridsize=args.gridsize)
     if args.method == "music":
         return pseudospectrum_music(noise, gridsize=args.gridsize)
-    if args.method == "ev":
-        if lams is None:
-            raise EmptyNoiseBasis(
-                "EV weighting needs noise eigentriples; the decomposition retained none"
-            )
-        return pseudospectrum_music(noise, gridsize=args.gridsize, eigenvalues=lams)
-    raise ParseError(f"unknown pseudospectrum method {args.method!r}")
+    if lams is None:  # ev
+        raise EmptyNoiseBasis(
+            "EV weighting needs noise eigentriples; the decomposition retained none"
+        )
+    return pseudospectrum_music(noise, gridsize=args.gridsize, eigenvalues=lams)
 
 
 def cmd_estimate(args) -> None:
@@ -213,7 +204,7 @@ def cmd_pseudospectrum(args) -> None:
     f, _, L = _prepared(args)
     ets = _decomposition(f, L, args.toeplitz)
     ps = _pseudospectrum_from_method(args, ets)
-    sio.write_pseudospectrum(args.output, ps, fmt=args.format)
+    sio.write_pseudospectrum(args.output, ps, args.method, fmt=args.format)
 
 
 def cmd_simulate(args) -> None:

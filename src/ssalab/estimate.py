@@ -4,13 +4,12 @@ All estimators consume a basis of the estimated signal subspace (or its
 orthogonal complement). ESPRIT and the root methods return poles as a 1-D
 complex array; the pseudospectra are one alignment routine, Min-Norm being
 MUSIC on a single noise vector. Roots that split under rounding are merged
-here (`_merge_roots`) before poles are chosen. Converting poles to
-per-sample frequency and damping lives here too.
+here (`_merge_roots`) before poles are chosen. `poles_to_params` turns poles
+into a (k, 3) table of frequency, damping and modulus, and a pseudospectrum is
+a (gridsize, 2) table of omega and 1/f(omega): the columns the CLI writes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,17 +95,9 @@ def esprit_tls(B) -> np.ndarray:
     return _merge_roots(np.linalg.eigvals(Z))[0]
 
 
-@dataclass(frozen=True)
-class ParamEstimates:
-    """Per-pole frequency (cycles/sample, in [0, 0.5]), damping ln|mu|, and |mu|."""
-
-    frequencies: np.ndarray
-    dampings: np.ndarray
-    moduli: np.ndarray
-
-
-def poles_to_params(poles) -> ParamEstimates:
-    """Convert poles to (frequency, damping, modulus) rows, sorted by frequency."""
+def poles_to_params(poles) -> np.ndarray:
+    """A (k, 3) table, one row per pole: frequency (cycles/sample, in [0, 0.5]),
+    damping ln|mu| and modulus |mu|, sorted by frequency."""
     p = np.atleast_1d(np.asarray(poles, dtype=complex))
     if np.any(p == 0):
         raise ZeroPole("cannot convert a zero pole to frequency and damping")
@@ -114,9 +105,7 @@ def poles_to_params(poles) -> ParamEstimates:
     modulus = np.abs(p)
     damping = np.log(modulus)
     order = np.lexsort((modulus, damping, freq))
-    return ParamEstimates(
-        frequencies=freq[order], dampings=damping[order], moduli=modulus[order]
-    )
+    return np.column_stack([freq, damping, modulus])[order]
 
 
 def pair_frequencies(poles) -> np.ndarray:
@@ -133,15 +122,6 @@ def pair_frequencies(poles) -> np.ndarray:
             used[partners[0]] = True
         freqs.append(abs(np.angle(z)) / (2.0 * np.pi))
     return np.sort(np.asarray(freqs))
-
-
-@dataclass(frozen=True)
-class Pseudospectrum:
-    """Reciprocal alignment 1/f(omega) on a frequency grid."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-    method: str  # "minnorm" | "music" | "ev"
 
 
 def _alignment(vectors, omegas, eigenvalues=None) -> np.ndarray:
@@ -166,7 +146,7 @@ def _grid(gridsize: int) -> np.ndarray:
     return np.linspace(0.0, 0.5, integer("gridsize", gridsize, minimum=2))
 
 
-def pseudospectrum_minnorm(B, gridsize: int = DEFAULT_GRIDSIZE) -> Pseudospectrum:
+def pseudospectrum_minnorm(B, gridsize: int = DEFAULT_GRIDSIZE) -> np.ndarray:
     """Min-norm pseudospectrum: MUSIC on the one unit noise vector along the
     projection of the last coordinate axis onto the orthogonal complement."""
     M = basis_matrix(B)
@@ -175,20 +155,18 @@ def pseudospectrum_minnorm(B, gridsize: int = DEFAULT_GRIDSIZE) -> Pseudospectru
     nu2 = 1.0 - float(a[-1])
     if nu2 >= 1.0 - 1e-10:
         raise VerticalSubspace(f"subspace is vertical (nu2 = {nu2:.3g}); no min-norm vector")
-    ps = pseudospectrum_music(a[:, None] / np.linalg.norm(a), gridsize=gridsize)
-    return replace(ps, method="minnorm")
+    return pseudospectrum_music(a[:, None] / np.linalg.norm(a), gridsize=gridsize)
 
 
 def pseudospectrum_music(
     noise_basis, gridsize: int = DEFAULT_GRIDSIZE, eigenvalues=None
-) -> Pseudospectrum:
-    """MUSIC pseudospectrum; pass noise-space eigenvalues for the EV weighting."""
+) -> np.ndarray:
+    """MUSIC pseudospectrum as a (gridsize, 2) table of omega and 1/f(omega);
+    pass noise-space eigenvalues for the EV weighting."""
     om = _grid(gridsize)
     f = _alignment(noise_basis, om, eigenvalues=eigenvalues)
     with np.errstate(divide="ignore"):
-        return Pseudospectrum(
-            omegas=om, values=1.0 / f, method="music" if eigenvalues is None else "ev"
-        )
+        return np.column_stack([om, 1.0 / f])
 
 
 def _closest_to_circle(candidates: np.ndarray, r: int, what: str) -> np.ndarray:
@@ -244,16 +222,19 @@ def root_min_norm(coeffs, r: int) -> np.ndarray:
     return _closest_to_circle(expanded, r, "characteristic root")
 
 
-def find_peaks(ps: Pseudospectrum, count: int) -> np.ndarray:
-    """Frequencies of the top interior maxima, parabolic-refined, sorted ascending.
+def find_peaks(ps, count: int) -> np.ndarray:
+    """Frequencies of the top interior maxima of a pseudospectrum table
+    (columns omega, value), parabolic-refined, sorted ascending.
 
     Refinement fits a parabola to the log-values over the 3-point
     neighborhood; it falls back to the grid point when a neighbor is infinite
     or the curvature degenerates.
     """
     count = integer("peak count", count, minimum=1)
-    v = np.asarray(ps.values, dtype=float)
-    om = np.asarray(ps.omegas, dtype=float)
+    table = np.asarray(ps, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise ValueError(f"pseudospectrum must be a (gridsize, 2) table, got {table.shape}")
+    om, v = table[:, 0], table[:, 1]
     interior = np.arange(1, v.size - 1)
     is_max = (v[interior] > v[interior - 1]) & (v[interior] > v[interior + 1])
     peaks = interior[is_max]

@@ -1,5 +1,6 @@
-"""File formats: series CSV, eigentriple JSON, estimate/pseudospectrum CSV,
-experiment reports. All floats are written with round-trip precision so a
+"""File formats: series CSV, eigentriple JSON, estimate/pseudospectrum tables
+(the plain arrays `estimate` returns, written column by column), experiment
+reports. All floats are written with round-trip precision so a
 decomposition exported to JSON reproduces downstream results bit for bit;
 that format lives in the two writers `_write_csv` and `_write_json`.
 """
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from .core import EigentripleSet
-from .estimate import ParamEstimates, Pseudospectrum
+from .errors import integer
 from .simlab import ErrorSurface
 
 
@@ -98,12 +99,14 @@ def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
     """Inverse of eigentriples_to_dict; returns the set and the stored mean (0 if absent).
 
     Raises ValueError for a document that is malformed, names a method other
-    than "basic" or "toeplitz", or holds NaN or infinite values.
+    than "basic" or "toeplitz", gives L or K as anything but a positive
+    integer, holds NaN or infinite values, or lists sigmas that are negative
+    or increasing.
     """
     try:
         method = doc["method"]
-        L = int(doc["L"])
-        K = int(doc["K"])
+        L = integer("eigentriple L", doc["L"], minimum=1)
+        K = integer("eigentriple K", doc["K"], minimum=1)
         sigmas = np.asarray(doc["sigmas"], dtype=float)
         u = np.asarray(doc["u"], dtype=float).T if doc["u"] else np.zeros((L, 0))
         v = np.asarray(doc["v"], dtype=float).T if doc["v"] else np.zeros((K, 0))
@@ -114,6 +117,8 @@ def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
         raise ValueError(f"eigentriple method must be 'basic' or 'toeplitz', got {method!r}")
     if not all(np.all(np.isfinite(x)) for x in (sigmas, u, v, mean)):
         raise ValueError("eigentriple document holds NaN or infinite values")
+    if np.any(sigmas < 0) or np.any(np.diff(sigmas) > 0):
+        raise ValueError("eigentriple sigmas must be nonnegative and nonincreasing")
     if u.shape != (L, sigmas.size) or v.shape != (K, sigmas.size):
         raise ValueError(
             f"eigentriple document dimensions disagree: L={L}, K={K}, "
@@ -132,17 +137,21 @@ def read_eigentriples(path) -> tuple[EigentripleSet, float]:
         return eigentriples_from_dict(json.load(fh))
 
 
-def write_param_estimates(path, est: ParamEstimates, fmt: str = "csv") -> None:
+def write_param_estimates(path, est, fmt: str = "csv") -> None:
+    """Write a (k, 3) table of frequency, damping and modulus rows."""
     keys = ("frequency", "damping", "modulus")
-    columns = (est.frequencies, est.dampings, est.moduli)
-    _write_table(path, fmt, ",".join(keys), columns,
-                 lambda: [dict(zip(keys, row)) for row in zip(*map(_floats, columns))])
+    est = np.asarray(est, dtype=float)
+    _write_table(path, fmt, ",".join(keys), est.T,
+                 lambda: [dict(zip(keys, row)) for row in est.tolist()])
 
 
-def write_pseudospectrum(path, ps: Pseudospectrum, fmt: str = "csv") -> None:
-    _write_table(path, fmt, "omega,value", (ps.omegas, ps.values),
-                 lambda: {"method": ps.method, "omega": _floats(ps.omegas),
-                          "value": _floats(ps.values)})
+def write_pseudospectrum(path, ps, method: str, fmt: str = "csv") -> None:
+    """Write a (gridsize, 2) table of omega and value rows; only the JSON
+    records `method`."""
+    omegas, values = np.asarray(ps, dtype=float).T
+    _write_table(path, fmt, "omega,value", (omegas, values),
+                 lambda: {"method": method, "omega": _floats(omegas),
+                          "value": _floats(values)})
 
 
 def write_error_surface_csv(path, surf: ErrorSurface) -> None:

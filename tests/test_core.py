@@ -376,7 +376,7 @@ def fast_route_case(draw, shape):
         # the largest noise singular value, about sigma (sqrt(L) + sqrt(K)),
         # against sqrt(L K) / 2 for a unit cosine
         K = n_points - L + 1
-        sigma = draw(st.floats(0.5, 1.5)) * np.sqrt(L * K) / (2 * (np.sqrt(L) + np.sqrt(K)))
+        sigma = draw(st.floats(0.8, 1.5)) * np.sqrt(L * K) / (2 * (np.sqrt(L) + np.sqrt(K)))
     else:
         sizes = {"narrow": (200, 26000), "proportional": (399, 1600)}.get(shape, (10, 400))
         n_points = draw(st.integers(*sizes))

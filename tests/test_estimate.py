@@ -93,12 +93,14 @@ def test_esprit_tls_depends_on_oblique_basis_change():
 def test_poles_to_params_values():
     poles = np.array([np.exp(2j * np.pi * 0.1), 0.99 * np.exp(2j * np.pi * 0.1), 1.0 + 0j])
     est = sl.poles_to_params(poles)
-    np.testing.assert_allclose(np.sort(est.frequencies), [0.0, 0.1, 0.1], atol=1e-12)
-    row99 = np.argmin(est.moduli)
-    assert est.frequencies[row99] == pytest.approx(0.1, abs=1e-12)
-    assert est.dampings[row99] == pytest.approx(np.log(0.99), abs=1e-12)
-    one = np.argmin(est.frequencies)
-    assert est.dampings[one] == pytest.approx(0.0, abs=1e-15)
+    assert est.shape == (3, 3)
+    frequencies, dampings, moduli = est.T
+    np.testing.assert_allclose(np.sort(frequencies), [0.0, 0.1, 0.1], atol=1e-12)
+    row99 = np.argmin(moduli)
+    assert frequencies[row99] == pytest.approx(0.1, abs=1e-12)
+    assert dampings[row99] == pytest.approx(np.log(0.99), abs=1e-12)
+    one = np.argmin(frequencies)
+    assert dampings[one] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_poles_to_params_zero_pole():
@@ -110,11 +112,10 @@ def test_poles_to_params_zero_pole():
 
 
 def test_minnorm_peak_at_signal_frequency():
-    ps = sl.pseudospectrum_minnorm(cos_basis(), gridsize=2048)
-    step = ps.omegas[1] - ps.omegas[0]
-    assert abs(ps.omegas[np.argmax(ps.values)] - 0.1) <= step / 2 + 1e-15
-    assert ps.method == "minnorm"
-    assert np.all(ps.values > 0)
+    omegas, values = sl.pseudospectrum_minnorm(cos_basis(), gridsize=2048).T
+    step = omegas[1] - omegas[0]
+    assert abs(omegas[np.argmax(values)] - 0.1) <= step / 2 + 1e-15
+    assert np.all(values > 0)
 
 
 def minnorm_alignment(B, omegas):
@@ -131,8 +132,8 @@ def test_minnorm_alignment_matches_min_norm_recurrence():
     for seed in range(60):
         B = cos_basis(sigma=0.5, seed=seed)
         ps = sl.pseudospectrum_minnorm(B, gridsize=257)
-        np.testing.assert_array_equal(ps.omegas, om)
-        np.testing.assert_allclose(1 / ps.values, minnorm_alignment(B, om), rtol=1e-12)
+        np.testing.assert_array_equal(ps[:, 0], om)
+        np.testing.assert_allclose(1 / ps[:, 1], minnorm_alignment(B, om), rtol=1e-12)
 
 
 def test_minnorm_rejects_vertical_subspace():
@@ -165,8 +166,8 @@ def test_music_zero_at_true_frequency():
     B = cos_basis()
     noise = sl.noise_complement(B)
     ps = sl.pseudospectrum_music(noise, gridsize=11)  # grid step 0.05
-    assert ps.omegas[2] == 0.1
-    assert 1 / ps.values[2] <= 1e-16
+    assert ps[2, 0] == 0.1
+    assert 1 / ps[2, 1] <= 1e-16
 
 
 def test_music_ev_proportional_for_equal_eigenvalues():
@@ -174,15 +175,14 @@ def test_music_ev_proportional_for_equal_eigenvalues():
     noise = sl.noise_complement(B)
     uniform = sl.pseudospectrum_music(noise, gridsize=256)
     ev = sl.pseudospectrum_music(noise, gridsize=256, eigenvalues=np.full(noise.shape[1], 2.0))
-    ratio = ev.values / uniform.values
+    ratio = ev[:, 1] / uniform[:, 1]
     assert np.max(np.abs(ratio - ratio[0])) <= 1e-10
-    assert ev.method == "ev"
 
 
 def test_music_alignment_bounded():
     rng = np.random.default_rng(4)
     noise = np.linalg.qr(rng.standard_normal((15, 6)))[0]
-    f = 1 / sl.pseudospectrum_music(noise, gridsize=257).values
+    f = 1 / sl.pseudospectrum_music(noise, gridsize=257)[:, 1]
     assert np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-12)
 
 
@@ -268,11 +268,15 @@ def test_find_peaks_single_cosine():
 
 
 def test_find_peaks_monotone_errors():
-    ps = sl.Pseudospectrum(
-        omegas=np.linspace(0, 0.5, 32), values=np.linspace(1, 2, 32), method="music"
-    )
+    ps = np.column_stack([np.linspace(0, 0.5, 32), np.linspace(1, 2, 32)])
     with pytest.raises(FewerPeaksThanRequested):
         sl.find_peaks(ps, 1)
+
+
+@pytest.mark.parametrize("shape", [(32,), (32, 3), (2, 32, 2)])
+def test_find_peaks_rejects_a_table_without_two_columns(shape):
+    with pytest.raises(ValueError, match=r"\(gridsize, 2\) table"):
+        sl.find_peaks(np.ones(shape), 1)
 
 
 def test_find_peaks_two_sinusoids():
@@ -302,4 +306,4 @@ def test_pole_and_peak_counts_must_be_positive_integers(bad):
     assert sl.root_music(noise, np.int64(2)).size == 2
     assert sl.root_min_norm(lrf, np.int64(2)).size == 2
     assert sl.find_peaks(ps, np.int64(1)).size == 1
-    assert sl.pseudospectrum_music(noise, gridsize=np.int64(2)).omegas.size == 2
+    assert sl.pseudospectrum_music(noise, gridsize=np.int64(2)).shape == (2, 2)

@@ -77,6 +77,14 @@ def test_eigentriples_from_dict_rejects_nonfinite_and_unknown_method():
     for method in ("svd", None, "Basic"):
         with pytest.raises(ValueError, match="method"):
             sio.eigentriples_from_dict({**good, "method": method})
+    for key, bad in (("L", 10.9), ("L", 10.0), ("L", "10"), ("L", True), ("K", 31.5), ("K", 0)):
+        with pytest.raises(ValueError, match=f"eigentriple {key} must be an integer"):
+            sio.eigentriples_from_dict({**good, key: bad})
+    sigmas = good["sigmas"]
+    for bad in ([-sigmas[0], *sigmas[1:]], [sigmas[1], sigmas[0], *sigmas[2:]],
+                [*sigmas[:-1], -0.5 * sigmas[-1]]):
+        with pytest.raises(ValueError, match="nonnegative and nonincreasing"):
+            sio.eigentriples_from_dict({**good, "sigmas": bad})
 
 
 def test_decompose_export_matches_reference_format(tmp_path):
@@ -149,8 +157,12 @@ def test_cli_reconstruct_rejects_nonfinite_decomposition(tmp_path, capsys):
     assert main(["decompose", "-i", str(src), "-L", "20", "-o", str(ets_path)]) == 0
     good = json.loads(ets_path.read_text())
     out = tmp_path / "rec.csv"
-    for field, value in (("sigmas", [float("nan")] + good["sigmas"][1:]),
-                         ("method", "ssa")):
+    sigmas = good["sigmas"]
+    for field, value in (("sigmas", [float("nan")] + sigmas[1:]),
+                         ("method", "ssa"),
+                         ("L", good["L"] + 0.9),
+                         ("sigmas", [-sigmas[0]] + sigmas[1:]),
+                         ("sigmas", [sigmas[1], sigmas[0]] + sigmas[2:])):
         bad = tmp_path / f"bad_{field}.json"
         bad.write_text(json.dumps({**good, field: value}))
         capsys.readouterr()
@@ -243,17 +255,24 @@ def test_cli_pseudospectrum(tmp_path):
     assert len(rows) == 513
 
 
+PSEUDOSPECTRUM_64 = ["pseudospectrum", "-L", "20", "-r", "2", "--gridsize", "64", "--method"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, rows",
     [
-        ["reconstruct", "-L", "20", "--group", "1,2"],
-        ["forecast", "-L", "20", "-r", "2", "--steps", "3"],
-        ["estimate", "-L", "20", "-r", "2", "--method", "esprit-tls"],
-        ["pseudospectrum", "-L", "20", "-r", "2", "--method", "music", "--gridsize", "64"],
+        pytest.param(["reconstruct", "-L", "20", "--group", "1,2"], 100, id="reconstruct"),
+        pytest.param(["forecast", "-L", "20", "-r", "2", "--steps", "3"], 3, id="forecast"),
+        pytest.param(["estimate", "-L", "20", "-r", "2", "--method", "esprit-tls"], 2,
+                     id="estimate"),
+        pytest.param(["estimate", "-L", "20", "-r", "2", "--method", "music"], 1,
+                     id="estimate-music"),
+        pytest.param([*PSEUDOSPECTRUM_64, "music"], 64, id="pseudospectrum"),
+        pytest.param([*PSEUDOSPECTRUM_64, "minnorm"], 64, id="pseudospectrum-minnorm"),
+        pytest.param([*PSEUDOSPECTRUM_64, "ev"], 64, id="pseudospectrum-ev"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_cli_json_numbers_equal_csv_numbers(tmp_path, argv):
+def test_cli_json_numbers_equal_csv_numbers(tmp_path, argv, rows):
     src = tmp_path / "noisy.csv"
     noise = 0.1 * np.random.default_rng(0).standard_normal(100)
     f = np.cos(2 * np.pi * np.arange(100) / 10) + noise
@@ -269,9 +288,10 @@ def test_cli_json_numbers_equal_csv_numbers(tmp_path, argv):
     elif argv[0] == "estimate":
         assert doc == [dict(zip(header.split(","), row)) for row in zip(*columns)]
     else:
-        assert doc == {"method": "music", "omega": columns[0], "value": columns[1]}
-    assert len(columns[0]) == {"reconstruct": 100, "forecast": 3, "estimate": 2,
-                               "pseudospectrum": 64}[argv[0]]
+        # the JSON names the method the CLI was given; the CSV does not
+        assert doc == {"method": argv[argv.index("--method") + 1], "omega": columns[0],
+                       "value": columns[1]}
+    assert len(columns[0]) == rows
 
 
 def test_error_surface_csv_exact_bytes(tmp_path):
