@@ -40,7 +40,7 @@ def main() -> None:
                 fh.write(
                     f"{lrf_window},{rec_window},{split.rmse_total!r},"
                     f"{split.rmse_lrf_only!r},{split.rmse_rec_only!r},"
-                    f"{split.failures},{split.reps}\n"
+                    f"{split.failures},{args.reps}\n"
                 )
             print(f"rec window {rec_window}: {len(lrf_grid)} recurrence windows done")
     print(f"wrote {path}")

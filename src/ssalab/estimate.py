@@ -4,7 +4,8 @@ All estimators consume a basis of the estimated signal subspace (or its
 orthogonal complement). ESPRIT and the root methods return poles as a 1-D
 complex array; the pseudospectra are one alignment routine, Min-Norm being
 MUSIC on a single noise vector. Roots that split under rounding are merged
-here (`_merge_roots`) before poles are chosen. `poles_to_params` turns poles
+here (`_merge_roots`) before poles are chosen; ESPRIT and Min-Norm list a
+merged pole once per root it holds. `poles_to_params` turns poles
 into a (k, 3) table of frequency, damping and modulus, and a pseudospectrum is
 a (gridsize, 2) table of omega and 1/f(omega): the columns the CLI writes.
 """
@@ -71,7 +72,7 @@ def esprit_ls(B) -> np.ndarray:
     D, _, rank, _ = np.linalg.lstsq(upper, lower, rcond=None)
     if rank < r:
         raise RankDeficientShift(f"shift system rank {rank} < r = {r}")
-    return _merge_roots(np.linalg.eigvals(D))[0]
+    return np.repeat(*_merge_roots(np.linalg.eigvals(D)))
 
 
 def esprit_tls(B) -> np.ndarray:
@@ -92,7 +93,7 @@ def esprit_tls(B) -> np.ndarray:
     if np.linalg.cond(V22) > 1e12:
         raise TlsDegenerate("TLS block V22 is numerically singular")
     Z = -np.linalg.solve(V22.T, V12.T).T
-    return _merge_roots(np.linalg.eigvals(Z))[0]
+    return np.repeat(*_merge_roots(np.linalg.eigvals(Z)))
 
 
 def poles_to_params(poles) -> np.ndarray:

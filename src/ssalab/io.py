@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -163,14 +164,7 @@ def write_error_surface_csv(path, surf: ErrorSurface) -> None:
 
 def error_surface_to_dict(surf: ErrorSurface) -> dict:
     return {
-        "signal": {
-            "kind": surf.spec.kind,
-            "n": surf.spec.n,
-            "b": surf.spec.b,
-            "c": surf.spec.c,
-            "sigma": surf.spec.sigma,
-            "alpha": surf.spec.alpha,
-        },
+        "signal": asdict(surf.spec),
         "functional": surf.functional,
         "reps": surf.reps,
         "seed": surf.master_seed,

@@ -7,16 +7,18 @@ gen_series, takes leading_triples(observed, L, r) once per declared (L, r) and
 passes them to the experiment's evaluate(triples, row, failed_row), which fills
 row i only; so results are identical for any worker count. The pool size is
 min(cpu count, SSA_LAB_THREADS) unless a call asks for fewer. `_make_truth`
-holds every check of rank, window and eigentriple count and `_replicate`
-checks reps and the master seed first, so bad input raises InvalidSpec
-before any replication runs.
+holds every check of rank, window and eigentriple count, `_cells` runs it for a
+surface (and for a config at parse time) and `_replicate` checks reps and the
+master seed first, so bad input raises InvalidSpec before any replication
+runs. Convergence reports and forecast splits hold only computed numbers,
+not the caller's arguments.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -121,7 +123,7 @@ def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width
 
 
 def canonical_functional(tag: str) -> str:
-    tag = _FUNCTIONAL_ALIASES.get(tag, tag)
+    tag = _FUNCTIONAL_ALIASES.get(tag, tag) if isinstance(tag, str) else tag
     if tag not in FUNCTIONALS:
         raise InvalidSpec(f"unknown functional {tag!r}; expected one of {FUNCTIONALS}")
     return tag
@@ -216,6 +218,16 @@ def _functional_error(tag: str, t, truth: _Truth) -> float:
 # -- Monte-Carlo surfaces -----------------------------------------------------
 
 
+def _cells(spec: SignalSpec, windows, functional: str, eigentriples: Optional[int]):
+    """(functional tag, windows as ints, one _Truth per window); InvalidSpec for
+    an unknown functional, no or a non-integer window, or a cell `_make_truth` rejects."""
+    tag = canonical_functional(functional)
+    windows = tuple(integer("window", L, InvalidSpec) for L in windows)
+    if not windows:
+        raise InvalidSpec("need at least one window length")
+    return tag, windows, [_make_truth(spec, L, eigentriples, tag) for L in windows]
+
+
 @dataclass(frozen=True)
 class ErrorSurface:
     """MSD and RMSE of one error functional over a list of window lengths.
@@ -253,12 +265,8 @@ def mc_error_surface(
     overrides how many leading terms the reconstruction functionals keep
     (default: the signal rank); parameter functionals always use the rank.
     """
-    tag = canonical_functional(functional)
-    windows = tuple(integer("window", L, InvalidSpec) for L in windows)
-    if not windows:
-        raise InvalidSpec("need at least one window length")
+    tag, windows, truths = _cells(spec, windows, functional, eigentriples)
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
-    truths = [_make_truth(spec, L, eigentriples, tag) for L in windows]
     shapes = [(t.L, t.rec_rank if tag in _REC_FUNCTIONALS else t.rank) for t in truths]
 
     def evaluate(triples, row, failed_row) -> None:
@@ -338,18 +346,13 @@ def window_for_policy(policy: str, n: int, rank: int) -> int:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """RMSE ratio between series lengths n1 and n2 = 4 n1 under one window policy.
+    """RMSE ratio between series lengths n1 and 4 n1 under one window policy.
 
     delta = rmse1 / rmse2; ratios near 8, 2 and 1 flag convergence rates
     N^-1.5, N^-0.5 and none. Cells where the error vanishes to rounding
     (exact separability) carry delta = None.
     """
 
-    spec: SignalSpec
-    functional: str
-    policy: str
-    n1: int
-    n2: int
     window1: int
     window2: int
     rmse1: float
@@ -357,7 +360,6 @@ class ConvergenceReport:
     delta: Optional[float]
     failures1: int
     failures2: int
-    reps: int
 
 
 def convergence_ratio(
@@ -371,14 +373,12 @@ def convergence_ratio(
 ) -> ConvergenceReport:
     """Run the same experiment at lengths n1 and 4 n1 and report the RMSE ratio."""
     tag = canonical_functional(functional)
-    n2 = 4 * n1
     rank = _finite_rank(spec)
     rows = []
-    for n in (n1, n2):
-        s = replace(spec, n=n)
+    for n in (n1, 4 * n1):
         L = window_for_policy(policy, n, rank)
         surf = mc_error_surface(
-            s,
+            replace(spec, n=n),
             [L],
             reps,
             tag,
@@ -389,21 +389,14 @@ def convergence_ratio(
         rows.append((L, float(surf.rmse[0]), int(surf.failures[0])))
     (L1, rmse1, fail1), (L2, rmse2, fail2) = rows
     separable = rmse1 < EXACT_SEPARABILITY_RMSE or rmse2 < EXACT_SEPARABILITY_RMSE
-    delta = None if separable else rmse1 / rmse2
     return ConvergenceReport(
-        spec=spec,
-        functional=tag,
-        policy=policy,
-        n1=n1,
-        n2=n2,
         window1=L1,
         window2=L2,
         rmse1=rmse1,
         rmse2=rmse2,
-        delta=delta,
+        delta=None if separable else rmse1 / rmse2,
         failures1=fail1,
         failures2=fail2,
-        reps=reps,
     )
 
 
@@ -475,14 +468,10 @@ class ForecastErrorSplit:
     total uses both estimated parts.
     """
 
-    spec: SignalSpec
-    lrf_window: int
-    rec_window: int
     rmse_total: float
     rmse_lrf_only: float
     rmse_rec_only: float
     failures: int
-    reps: int
 
 
 def forecast_error_split(
@@ -518,14 +507,10 @@ def forecast_error_split(
     ok = errors[~failed]  # axis-0 sums run in replication order, not pairwise
     rmse = np.sqrt(np.mean(ok**2, axis=0)) if ok.size else np.full(3, np.nan)
     return ForecastErrorSplit(
-        spec=spec,
-        lrf_window=lrf_window,
-        rec_window=rec_window,
         rmse_total=float(rmse[0]),
         rmse_lrf_only=float(rmse[1]),
         rmse_rec_only=float(rmse[2]),
         failures=int(failed.sum()),
-        reps=reps,
     )
 
 
@@ -557,7 +542,20 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
 # -- experiment configuration ---------------------------------------------------
 
 
-_SIGNAL_KEYS = {"kind", "n", "b", "c", "sigma", "alpha"}
+_CONFIG_KEYS = {"signal", "noise", "windows", "reps", "functional", "eigentriples", "seed",
+                "output"}
+_SIGNAL_KEYS = {f.name for f in fields(SignalSpec)}
+_NOISE_KEYS = {"kind", "sigma", "alpha", "seed"}
+
+
+def _config_object(value, known: set, what: str) -> dict:
+    """`value`, or InvalidSpec unless it is a dict whose keys all lie in `known`."""
+    if not isinstance(value, dict):
+        raise InvalidSpec(f"{what} must be a JSON object")
+    unknown = set(value) - known
+    if unknown:
+        raise InvalidSpec(f"unknown {what} keys: {sorted(unknown)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -574,50 +572,37 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise InvalidSpec("experiment config must be a JSON object")
-        sig = doc.get("signal")
-        if not isinstance(sig, dict) or "kind" not in sig or "n" not in sig:
+        _config_object(doc, _CONFIG_KEYS, "experiment config")
+        sig = _config_object(doc.get("signal"), _SIGNAL_KEYS, "'signal'")
+        if "kind" not in sig or "n" not in sig:
             raise InvalidSpec("config needs a 'signal' object with 'kind' and 'n'")
-        unknown = set(sig) - _SIGNAL_KEYS
-        if unknown:
-            raise InvalidSpec(f"unknown signal fields: {sorted(unknown)}")
-        fields = dict(sig)
-        seed = doc.get("seed", 0)
-        noise = {} if doc.get("noise") is None else doc["noise"]
-        if not isinstance(noise, dict):
-            raise InvalidSpec("'noise' must be an object")
-        for key in ("sigma", "alpha"):
-            if key in noise:
-                fields[key] = noise[key]
-        if "seed" in noise and "seed" not in doc:
-            seed = noise["seed"]
+        noise = doc.get("noise")
+        noise = {} if noise is None else _config_object(noise, _NOISE_KEYS, "'noise'")
+        values = {**sig, **{key: noise[key] for key in ("sigma", "alpha") if key in noise}}
         windows = doc.get("windows")
-        if not isinstance(windows, (list, tuple)) or not windows:
+        if not isinstance(windows, (list, tuple)):
             raise InvalidSpec("config needs a nonempty 'windows' list")
         reps = integer("reps", doc.get("reps", 100), InvalidSpec, minimum=1)
-        seed = integer("seed", seed, InvalidSpec)
-        windows = tuple(integer("window", w, InvalidSpec) for w in windows)
-        ets = doc.get("eigentriples")
-        if ets is not None:
-            ets = integer("eigentriples", ets, InvalidSpec)
+        seed = integer("seed", doc.get("seed", noise.get("seed", 0)), InvalidSpec)
+        output = doc.get("output")
+        if output is not None and not isinstance(output, str):
+            raise InvalidSpec(f"'output' must be a string, got {output!r}")
         try:
-            spec = SignalSpec(**fields)
+            spec = SignalSpec(**values)
         except TypeError as exc:
             raise InvalidSpec(f"bad signal field value: {exc}") from exc
         kind = noise.get("kind")
         if kind is not None and kind != spec.noise_family:
             raise InvalidSpec(f"noise kind {kind!r} conflicts with signal kind {spec.kind!r}")
-        functional = canonical_functional(doc.get("functional", "reconstruction"))
-        for L in windows:
-            _make_truth(spec, L, ets, functional)
+        ets = doc.get("eigentriples")
+        functional, windows, _ = _cells(spec, windows, doc.get("functional", "reconstruction"), ets)
         return ExperimentConfig(
             spec=spec,
             windows=windows,
             reps=reps,
             functional=functional,
             seed=seed,
-            output=doc.get("output"),
+            output=output,
             eigentriples=ets,
         )
 

@@ -87,6 +87,15 @@ def test_esprit_tls_depends_on_oblique_basis_change():
     assert moved > 1e-12
 
 
+@pytest.mark.parametrize("esprit", [sl.esprit_ls, sl.esprit_tls], ids=["ls", "tls"])
+def test_esprit_lists_a_repeated_pole_again(esprit):
+    # the linear trend 1..50 has the double pole 1; merged roots keep their count
+    B = sl.signal_basis(sl.decompose(sl.embed(np.arange(1.0, 51.0), 10)), 2)
+    poles = esprit(B)
+    assert poles.shape == (2,)
+    np.testing.assert_allclose(poles, [1.0, 1.0], atol=1e-6)
+
+
 # -- pole conversion ---------------------------------------------------------------
 
 

@@ -45,10 +45,11 @@ def test_msd_le_rmse():
 
 
 def _as_bytes(result):
-    """Every numeric and text field of a result, as bytes (the spec left out)."""
+    """Every numeric and text field of a result, as bytes (a spec left out)."""
     if isinstance(result, np.ndarray):
         return result.tobytes()
-    return [np.asarray(v).tobytes() for v in vars(result).values() if v is not result.spec]
+    return [np.asarray(v).tobytes() for v in vars(result).values()
+            if not isinstance(v, sl.SignalSpec)]
 
 
 @pytest.mark.parametrize(
@@ -167,7 +168,7 @@ def test_convergence_exact_separability_cell_unavailable():
 def test_convergence_ratio_white_noise_projector():
     spec = sl.SignalSpec("damped_cos_wn", n=399, b=1.0, sigma=0.1)
     rep = sl.convergence_ratio(spec, 199, "reconstruction", "half", reps=40, master_seed=9)
-    assert rep.n2 == 796
+    assert rep.window2 == 398
     assert rep.delta == pytest.approx(2.0, abs=0.6)
 
 
@@ -327,3 +328,15 @@ def test_experiment_config_noise_kind_conflict():
         )
     with pytest.raises(InvalidSpec):
         sl.ExperimentConfig.from_dict({"signal": {"kind": "damped_cos_wn", "n": 100}})
+    # a misspelled key must not fall back to its default silently
+    for change, message in [
+        ({"functinal": "projector", "seeed": 7},
+         r"unknown experiment config keys: \['functinal', 'seeed'\]"),
+        ({"noise": {"sigam": 9}}, r"unknown 'noise' keys: \['sigam'\]"),
+        ({"output": 5}, "'output' must be a string"),
+        ({"functional": ["projector"]}, "unknown functional"),
+    ]:
+        with pytest.raises(InvalidSpec, match=message):
+            sl.ExperimentConfig.from_dict(
+                {"signal": {"kind": "damped_cos_wn", "n": 100}, "windows": [30], **change}
+            )
