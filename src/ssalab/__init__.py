@@ -13,7 +13,6 @@ from .core import (
     lag_covariance_matrix,
     leading_triples,
     rank_reconstruction,
-    reconstruct,
 )
 from .errors import SsaError
 from .estimate import (

@@ -188,22 +188,6 @@ def hankelize(M: np.ndarray) -> np.ndarray:
     return sums / diagonal_counts(L, K)
 
 
-def reconstruct(series, L: int, indices, method: str = "basic") -> np.ndarray:
-    """Decompose, then diagonal-average the selected triples, in one call.
-
-    `indices` selects eigentriples (1-based). `method` picks the basic SVD
-    or the Toeplitz variant; both reconstruct through `rank_reconstruction`.
-    """
-    f = as_series(series)
-    if method == "basic":
-        ets = decompose(embed(f, L))
-    elif method == "toeplitz":
-        ets = decompose_toeplitz(f, L)
-    else:
-        raise ValueError(f"method must be 'basic' or 'toeplitz', got {method!r}")
-    return rank_reconstruction(ets, indices)
-
-
 def center(series) -> tuple[np.ndarray, float]:
     """Subtract the series mean; returns (centered series, mean)."""
     f = as_series(series)

@@ -1,14 +1,15 @@
 """Catalog of benchmark signals and residual generators.
 
 Each catalog kind is one row of `_CATALOG`: a closed-form signal, the
-residual recipe used in the error studies, the residual's noise family, and
-the signal's poles, whose count is its rank. `gen_series` returns signal and
-residual separately so error functionals always know the truth. Exponential
-damping is written through the base b (s_n contains b^n), white noise has
-standard deviation sigma, and red noise is the stationary AR(1) process with
-coefficient alpha and unit variance before scaling by sigma. The AR(1)
-recurrence runs as a numpy prefix scan of at most ceil(log2 n) vector
-passes, so no draw needs scipy.
+residual recipe used in the error studies, and the signal's poles, whose
+count is its rank. The kind fixes the residual type (deterministic, white or
+red), so a `SignalSpec` alone describes what is simulated. `gen_series`
+returns signal and residual separately so error functionals always know the
+truth. Exponential damping is written through the base b (s_n contains
+b^n), white noise has standard deviation sigma, and red noise is the
+stationary AR(1) process with coefficient alpha and unit variance before
+scaling by sigma. The AR(1) recurrence runs as a numpy prefix scan of at most
+ceil(log2 n) vector passes, so no draw needs scipy.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ class SignalSpec:
         if self.b <= 0:
             raise InvalidSpec(f"base b must be > 0, got {self.b}")
 
-    @property
-    def noise_family(self) -> Optional[str]:
-        """The kind's residual family: "white", "red", or None if deterministic."""
-        return _CATALOG[self.kind].noise
-
 
 def _damped_cos(spec, n):
     return spec.b**n * np.cos(2.0 * np.pi * n / 10.0)
@@ -110,7 +106,6 @@ class _Kind:
 
     signal: Callable  # (spec, n) -> signal values at n
     residual: Callable  # (spec, rng, n) -> residual draw at 0..spec.n-1
-    noise: Optional[str]  # "white", "red", or None for a deterministic residual
     poles: Callable  # spec -> characteristic roots (one per rank), None for infinite rank
 
 
@@ -118,53 +113,41 @@ _CATALOG = {
     "const_saw": _Kind(
         lambda spec, n: np.ones_like(n),
         lambda spec, rng, n: -spec.c * (-1.0) ** n,
-        None,
         lambda spec: np.array([1.0 + 0.0j]),
     ),
     "damped_cos_const": _Kind(
         _damped_cos,
         lambda spec, rng, n: np.full(spec.n, spec.c),
-        None,
         _damped_cos_poles,
     ),
-    "damped_cos_wn": _Kind(_damped_cos, _white, "white", _damped_cos_poles),
+    "damped_cos_wn": _Kind(_damped_cos, _white, _damped_cos_poles),
     "damped_cos_mix": _Kind(
         _damped_cos,
         lambda spec, rng, n: (spec.sigma * white_noise(rng, spec.n) + spec.c) / np.sqrt(2.0),
-        "white",
         _damped_cos_poles,
     ),
     "damped_cos_rn": _Kind(
         _damped_cos,
         lambda spec, rng, n: spec.sigma * red_noise(rng, spec.n, spec.alpha),
-        "red",
         _damped_cos_poles,
     ),
     "two_cos": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n / 19.0) + np.cos(2.0 * np.pi * n / 21.0),
         _white,
-        "white",
         _two_cos_poles,
     ),
     "chirp_am": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n**2 / 1e5) * np.cos(2.0 * np.pi * n / 20.0),
         _white,
-        "white",
         _no_poles,
     ),
     "chirp_trend_mix": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n**2 / 1e5),
         lambda spec, rng, n: spec.sigma * white_noise(rng, spec.n)
         + spec.c * np.cos(2.0 * np.pi * n / 10.0),
-        "white",
         _no_poles,
     ),
-    "exp_trend": _Kind(
-        lambda spec, n: spec.b**n,
-        _white,
-        "white",
-        lambda spec: np.array([spec.b + 0.0j]),
-    ),
+    "exp_trend": _Kind(lambda spec, n: spec.b**n, _white, lambda spec: np.array([spec.b + 0.0j])),
 }
 
 

@@ -11,7 +11,10 @@ holds every check of rank, window and eigentriple count, `_cells` runs it for a
 surface (and for a config at parse time) and `_replicate` checks reps and the
 master seed first, so bad input raises InvalidSpec before any replication
 runs. Convergence reports and forecast splits hold only computed numbers,
-not the caller's arguments.
+not the caller's arguments. A functional is named by one of the six
+FUNCTIONALS strings, and a simulate config is a `signal` object, which
+becomes the SignalSpec and so fixes the residual, plus top-level windows,
+reps, functional, eigentriples, seed and output; any other key is InvalidSpec.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ FUNCTIONALS = (
     "frequency",
     "base",
 )
-_FUNCTIONAL_ALIASES = {"damping": "base", "damping/base": "base"}
 
 WINDOW_POLICIES = ("r+1", "20", "25", "half-5", "half")
 
@@ -123,7 +125,6 @@ def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width
 
 
 def canonical_functional(tag: str) -> str:
-    tag = _FUNCTIONAL_ALIASES.get(tag, tag) if isinstance(tag, str) else tag
     if tag not in FUNCTIONALS:
         raise InvalidSpec(f"unknown functional {tag!r}; expected one of {FUNCTIONALS}")
     return tag
@@ -525,16 +526,12 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
     norm is not pinned down by the derivation; this returns the spectral
     norm, so treat the value as an interpretation rather than a quotation.
     """
-    rank = _make_truth(spec, L).rank
+    Ur = _make_truth(spec, L).exact_u
     S = embed(signal_values(spec), L)
     K = S.shape[1]
-    U, s, _ = np.linalg.svd(S, full_matrices=False)
-    inv = np.zeros_like(s)
-    inv[:rank] = 1.0 / s[:rank] ** 2
-    gram_pinv = (U * inv) @ U.T
+    gram_pinv = (Ur / np.sum((S.T @ Ur) ** 2, axis=0)) @ Ur.T  # sigma_i^2 = |S^T u_i|^2
     lag = np.arange(L)
     cov = spec.sigma**2 * (spec.alpha**lag)[np.abs(lag[:, None] - lag)]
-    Ur = U[:, :rank]
     M = K * gram_pinv @ cov @ (np.eye(L) - Ur @ Ur.T)
     return float(np.linalg.norm(M, 2))
 
@@ -542,10 +539,8 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
 # -- experiment configuration ---------------------------------------------------
 
 
-_CONFIG_KEYS = {"signal", "noise", "windows", "reps", "functional", "eigentriples", "seed",
-                "output"}
+_CONFIG_KEYS = {"signal", "windows", "reps", "functional", "eigentriples", "seed", "output"}
 _SIGNAL_KEYS = {f.name for f in fields(SignalSpec)}
-_NOISE_KEYS = {"kind", "sigma", "alpha", "seed"}
 
 
 def _config_object(value, known: set, what: str) -> dict:
@@ -576,24 +571,18 @@ class ExperimentConfig:
         sig = _config_object(doc.get("signal"), _SIGNAL_KEYS, "'signal'")
         if "kind" not in sig or "n" not in sig:
             raise InvalidSpec("config needs a 'signal' object with 'kind' and 'n'")
-        noise = doc.get("noise")
-        noise = {} if noise is None else _config_object(noise, _NOISE_KEYS, "'noise'")
-        values = {**sig, **{key: noise[key] for key in ("sigma", "alpha") if key in noise}}
         windows = doc.get("windows")
         if not isinstance(windows, (list, tuple)):
             raise InvalidSpec("config needs a nonempty 'windows' list")
         reps = integer("reps", doc.get("reps", 100), InvalidSpec, minimum=1)
-        seed = integer("seed", doc.get("seed", noise.get("seed", 0)), InvalidSpec)
+        seed = integer("seed", doc.get("seed", 0), InvalidSpec)
         output = doc.get("output")
         if output is not None and not isinstance(output, str):
             raise InvalidSpec(f"'output' must be a string, got {output!r}")
         try:
-            spec = SignalSpec(**values)
+            spec = SignalSpec(**sig)
         except TypeError as exc:
             raise InvalidSpec(f"bad signal field value: {exc}") from exc
-        kind = noise.get("kind")
-        if kind is not None and kind != spec.noise_family:
-            raise InvalidSpec(f"noise kind {kind!r} conflicts with signal kind {spec.kind!r}")
         ets = doc.get("eigentriples")
         functional, windows, _ = _cells(spec, windows, doc.get("functional", "reconstruction"), ets)
         return ExperimentConfig(

@@ -225,22 +225,22 @@ def test_hankel_round_trip(values, data):
 
 def test_reconstruct_exponential_rank_one():
     f = 2.0 ** np.arange(20)
-    rec = sl.reconstruct(f, 10, [1])
+    rec = sl.rank_reconstruction(sl.decompose(sl.embed(f, 10)), [1])
     assert np.max(np.abs(rec - f)) <= 1e-8 * np.max(np.abs(f))
 
 
 def test_reconstruct_cosine_plus_constant_exact_separability():
     # residual constant, both L and K divisible by the period 10
     f = cosine(49) + 0.1
-    rec = sl.reconstruct(f, 20, [1, 2])  # K = 30
+    rec = sl.rank_reconstruction(sl.decompose(sl.embed(f, 20)), [1, 2])  # K = 30
     assert np.max(np.abs(rec - cosine(49))) <= 1e-8
 
 
 def test_window_symmetry():
     rng = np.random.default_rng(5)
     f = cosine(80) + 0.1 * rng.standard_normal(80)
-    a = sl.reconstruct(f, 25, [1, 2])
-    b = sl.reconstruct(f, 80 - 25 + 1, [1, 2])
+    a = sl.rank_reconstruction(sl.decompose(sl.embed(f, 25)), [1, 2])
+    b = sl.rank_reconstruction(sl.decompose(sl.embed(f, 80 - 25 + 1)), [1, 2])
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -305,11 +305,9 @@ def test_reconstruct_matches_dense_grouping_for_both_methods():
     for method, ets in (("basic", sl.decompose(sl.embed(f, 40))),
                         ("toeplitz", sl.decompose_toeplitz(f, 40))):
         ref = sl.hankelize(sl.group_matrix(ets, [1, 2, 4]))
-        got = sl.reconstruct(f, 40, [4, 1, 2], method=method)
+        got = sl.rank_reconstruction(ets, [4, 1, 2])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(f)), method
-        np.testing.assert_array_equal(sl.reconstruct(f, 40, [], method=method), np.zeros(150))
-    with pytest.raises(ValueError, match="basic"):
-        sl.reconstruct(f, 40, [1], method="other")
+        np.testing.assert_array_equal(sl.rank_reconstruction(ets, []), np.zeros(150))
 
 
 def test_rank_reconstruction_dedupes_indices_like_group_matrix():

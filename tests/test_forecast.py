@@ -72,7 +72,7 @@ def test_recurrent_forecast_zero_seed():
 
 def test_recurrent_forecast_full_pipeline_cosine():
     f = cosine(100)
-    rec = sl.reconstruct(f, 50, [1, 2])
+    rec = sl.rank_reconstruction(sl.decompose(sl.embed(f, 50)), [1, 2])
     lrf = sl.min_norm_lrf(exact_cos_basis(100, 50))
     out = sl.recurrent_forecast(rec[-lrf.size:], lrf, 10)
     truth = cosine(110)[100:]

@@ -66,7 +66,7 @@ def _estimates():
         "ev": sl.pseudospectrum_music(noise_basis, eigenvalues=lams),
     }
     out.update({k: sl.find_peaks(ps, r // 2).tolist() for k, ps in spectra.items()})
-    rec = sl.reconstruct(f, L, list(range(1, r + 1)))
+    rec = sl.rank_reconstruction(ets, range(1, r + 1))
     # a min-norm recurrence read off an L-row basis has order L - 1
     out["forecast"] = sl.recurrent_forecast(rec[-(L - 1):], sl.min_norm_lrf(B), 10).tolist()
     return out

@@ -350,11 +350,14 @@ def test_cli_simulate_reproducible(tmp_path):
         ({"windows": [3], "eigentriples": 3, "functional": "forecast-1-step"}, None, []),
         ({"signal": {"kind": "damped_cos_wn", "n": 60, "sigma": float("nan")}}, None, []),
         ({"signal": {"kind": "damped_cos_wn", "n": 60, "b": float("inf")}}, None, []),
+        ({"noise": {"kind": "white", "sigma": 0.1}}, None, []),
+        ({"functional": "damping"}, None, []),
     ],
     ids=["n-text", "n-fraction", "reps-0", "reps-text", "flag-reps-0", "window-404",
          "window-text", "eigentriples-500", "threads-text", "threads-0", "window-2-rank-2",
          "two-cos-window-3", "two-cos-window-98", "chirp-no-finite-rank",
-         "forecast-eigentriples-L", "sigma-nan", "b-infinite"],
+         "forecast-eigentriples-L", "sigma-nan", "b-infinite", "noise-block",
+         "functional-damping"],
 )
 def test_cli_simulate_config_errors_exit_2(tmp_path, monkeypatch, capsys, change, env, flags):
     cfg = {

@@ -124,11 +124,13 @@ def test_eigentriples_equal_to_window(functional):
     assert np.all(np.isfinite(surf.rmse))
 
 
-def test_functional_aliases_and_unknown():
-    surf = sl.mc_error_surface(WN, [40], 2, "damping", master_seed=5)
+def test_functional_names_and_unknown():
+    surf = sl.mc_error_surface(WN, [40], 2, "base", master_seed=5)
     assert surf.functional == "base"
-    with pytest.raises(InvalidSpec):
-        sl.mc_error_surface(WN, [40], 2, "nope")
+    # the six names in FUNCTIONALS are the only spellings
+    for tag in ("nope", "damping", "damping/base"):
+        with pytest.raises(InvalidSpec, match="unknown functional"):
+            sl.mc_error_surface(WN, [40], 2, tag)
 
 
 def test_exact_separability_even_windows():
@@ -286,8 +288,7 @@ def test_red_noise_projector_bound():
 def test_experiment_config_parsing():
     cfg = sl.ExperimentConfig.from_dict(
         {
-            "signal": {"kind": "damped_cos_wn", "n": 100, "b": 1.0},
-            "noise": {"kind": "white", "sigma": 0.2},
+            "signal": {"kind": "damped_cos_wn", "n": 100, "b": 1.0, "sigma": 0.2},
             "windows": [30, 50],
             "reps": 7,
             "functional": "projector",
@@ -303,36 +304,26 @@ def test_experiment_config_parsing():
     assert surf.reps == 7
 
 
-def test_experiment_config_noise_kind_conflict():
-    with pytest.raises(InvalidSpec):
-        sl.ExperimentConfig.from_dict(
-            {
-                "signal": {"kind": "damped_cos_wn", "n": 100},
-                "noise": {"kind": "red"},
-                "windows": [30],
-            }
-        )
-    with pytest.raises(InvalidSpec):
-        sl.ExperimentConfig.from_dict(
-            {"signal": {"kind": "damped_cos_const", "n": 100}, "noise": {"kind": "white"},
-             "windows": [30]}
-        )
+def test_experiment_config_rejects_noise_block():
+    # the signal kind fixes the residual; sigma and alpha live in 'signal'
+    for noise in ({"kind": "white", "sigma": 0.1}, {"kind": "red"}, {"seed": 3}, {}):
+        with pytest.raises(InvalidSpec, match=r"unknown experiment config keys: \['noise'\]"):
+            sl.ExperimentConfig.from_dict(
+                {"signal": {"kind": "damped_cos_wn", "n": 100}, "noise": noise, "windows": [30]}
+            )
     red = sl.ExperimentConfig.from_dict(
-        {"signal": {"kind": "damped_cos_rn", "n": 100}, "noise": {"kind": "red", "alpha": 0.7},
-         "windows": [30]}
+        {"signal": {"kind": "damped_cos_rn", "n": 100, "alpha": 0.7}, "windows": [30]}
     )
     assert red.spec.alpha == 0.7
-    with pytest.raises(InvalidSpec):
-        sl.ExperimentConfig.from_dict(
-            {"signal": {"kind": "damped_cos_wn", "n": 100, "zeta": 1}, "windows": [30]}
-        )
+    assert red.seed == 0
     with pytest.raises(InvalidSpec):
         sl.ExperimentConfig.from_dict({"signal": {"kind": "damped_cos_wn", "n": 100}})
     # a misspelled key must not fall back to its default silently
     for change, message in [
         ({"functinal": "projector", "seeed": 7},
          r"unknown experiment config keys: \['functinal', 'seeed'\]"),
-        ({"noise": {"sigam": 9}}, r"unknown 'noise' keys: \['sigam'\]"),
+        ({"signal": {"kind": "damped_cos_wn", "n": 100, "sigam": 9}},
+         r"unknown 'signal' keys: \['sigam'\]"),
         ({"output": 5}, "'output' must be a string"),
         ({"functional": ["projector"]}, "unknown functional"),
     ]:
