@@ -11,13 +11,15 @@ and picks one of three routes by shape: block subspace iteration with FFT
 Hankel products for a large side and a small rank, the eigendecomposition of
 the min(L, K)-sided Gram matrix when its spectral gap at the rank is wide
 enough, and the dense SVD as the fallback. A route that fails its own check
-hands over to the next one.
+hands over to the next one. Where the Gram matrix of a long, narrow window
+comes from the series, u needs no trajectory matrix, so v is computed from
+it on first read; its bits are the same whenever that happens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -56,6 +58,28 @@ def embed(series, L: int) -> np.ndarray:
     return sliding_window_view(f, f.size - L + 1).copy()
 
 
+class _OnFirstRead:
+    """Data descriptor for a dataclass field that holds an array or a
+    zero-argument function returning one. The first read calls the function
+    and keeps its array. There is no lock: two threads reading at once would
+    both compute the same bits, and a per-class lock would serialize every
+    instance. The class itself has no value, so the field stays required."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class EigentripleSet:
     """Ordered eigentriples with their provenance.
@@ -66,11 +90,16 @@ class EigentripleSet:
     For method "toeplitz" the u_i are orthonormal eigenvectors of the lag
     autocovariance matrix, sigma_i = ||X^T u_i|| and v_i = X^T u_i / sigma_i;
     that is not an SVD and the v_i need not be orthogonal.
+
+    `v` may be given as a zero-argument function; it is then called on the
+    first read of `v` and its array kept. `leading_triples` does that on the
+    series-Gram route of a narrow window, and the array it builds has the
+    same bits as an eager one.
     """
 
     sigmas: np.ndarray  # (d,) nonincreasing
     u: np.ndarray  # (L, d)
-    v: np.ndarray  # (K, d)
+    v: np.ndarray = _OnFirstRead()  # (K, d)
     method: str  # "basic" | "toeplitz"
     L: int
     K: int
@@ -81,15 +110,17 @@ class EigentripleSet:
         return int(self.sigmas.size)
 
 
-def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
-    """Flip each column pair so the largest-|entry| coordinate of u is positive."""
+def _fix_signs(U: np.ndarray, V: np.ndarray | None) -> None:
+    """Flip each column pair so the largest-|entry| coordinate of u is positive;
+    V None flips u alone."""
     if U.size == 0:
         return
     idx = np.argmax(np.abs(U), axis=0)
     # negating whole columns avoids a length-r inner loop on (K, r) arrays
     for j in np.flatnonzero(U[idx, np.arange(U.shape[1])] < 0):
         U[:, j] *= -1.0
-        V[:, j] *= -1.0
+        if V is not None:
+            V[:, j] *= -1.0
 
 
 def decompose(X: np.ndarray) -> EigentripleSet:
@@ -236,6 +267,12 @@ _GRAM_MIN_GAP = 1e-6
 # keeps it.
 _GRAM_SERIES_MIN_ASPECT = 8
 _GRAM_SERIES_MIN_SIZE = 2**15
+# OpenBLAS splits a dot product longer than 10000 over its own threads. Two
+# pool workers doing that at once fight over the same cores: on 2 vCPUs a
+# pooled Monte-Carlo call at L = 20, N = 25596 ran at half the one-thread rate
+# and its time swung threefold from call to call. The lagged products of
+# `_lagged_gram` are therefore summed in blocks of this length.
+_DOT_BLOCK = 8192
 
 
 @lru_cache(maxsize=64)
@@ -318,7 +355,8 @@ def _block_triples(f: np.ndarray, L: int, rank: int):
 def _lagged_gram(f: np.ndarray, m: int) -> np.ndarray:
     """A A^T for the m x k Hankel matrix A of f (k = N - m + 1), in O(m k).
 
-    Row 0 holds the lagged products sum_t f_t f_{t+d}. Down each lag d,
+    Row 0 holds the lagged products sum_t f_t f_{t+d}, summed over blocks of
+    _DOT_BLOCK values of t. Down each lag d,
     G[i+1, i+1+d] = G[i, i+d] - f_i f_{i+d} + f_{i+k} f_{i+k+d}, so one
     cumsum of those increments gives S[i, d] = G[i, i+d], and reading S at
     (min(i, j), |i - j|) unskews it.
@@ -328,27 +366,32 @@ def _lagged_gram(f: np.ndarray, m: int) -> np.ndarray:
     # increments at i + d > m - 2 are never read; clipping keeps them in range
     idx = np.minimum(lag[:m - 1, None] + lag, m - 2)
     S = np.empty((m, m))
-    S[0] = np.correlate(f, f[:k], "valid")
+    S[0] = 0.0
+    for i in range(0, k, _DOT_BLOCK):
+        j = min(i + _DOT_BLOCK, k)
+        S[0] += np.correlate(f[i:j + m - 1], f[i:j], "valid")
     S[1:] = f[k:k + m - 1, None] * f[idx + k] - f[:m - 1, None] * f[idx]
     np.cumsum(S, axis=0, out=S)
     return S.ravel()[np.minimum.outer(lag, lag) * m + np.abs(lag[:, None] - lag)]
 
 
-def _gram_triples(f: np.ndarray, A: np.ndarray, rank: int):
+def _gram_from_series(m: int, k: int) -> bool:
+    """Whether the Gram matrix of an m x k window (m <= k) comes from the series."""
+    return k >= _GRAM_SERIES_MIN_ASPECT * m and m * k >= _GRAM_SERIES_MIN_SIZE
+
+
+def _gram_triples(f: np.ndarray, m: int, A: np.ndarray | None, rank: int):
     """(sigmas, left, right) of the leading `rank` triples of A, the m x k
     Hankel matrix of f with m <= k, from the eigendecomposition of A A^T, or
     None when the Gram overflows or its eigenvalue gap after the rank-th is at
     most _GRAM_MIN_GAP of the largest.
 
     A long, narrow A has its Gram matrix formed from the series by
-    `_lagged_gram`, any other by the dense product; the right vectors come
-    from A either way."""
-    m, k = A.shape
+    `_lagged_gram`, any other by the dense product. The right vectors come
+    from A; A may be None only when the Gram comes from the series, and right
+    is then None too."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if k >= _GRAM_SERIES_MIN_ASPECT * m and m * k >= _GRAM_SERIES_MIN_SIZE:
-            G = _lagged_gram(f, m)
-        else:
-            G = A @ A.T
+        G = _lagged_gram(f, m) if _gram_from_series(m, f.size - m + 1) else A @ A.T
     if not np.all(np.isfinite(G)):  # |f| beyond about 1e154
         return None
     lam, Q = np.linalg.eigh(G)
@@ -358,7 +401,12 @@ def _gram_triples(f: np.ndarray, A: np.ndarray, rank: int):
         return None
     sig = np.sqrt(lam[:rank])
     W = Q[:, :rank]
-    return sig, W, (W.T @ A).T / sig
+    return sig, W, None if A is None else (W.T @ A).T / sig
+
+
+def _right_vectors(f: np.ndarray, L: int, U: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """X^T U / sigmas for X = embed(f, L): the right vectors of the left ones."""
+    return (U.T @ embed(f, L)).T / sigmas
 
 
 def leading_triples(series, L: int, rank: int) -> EigentripleSet:
@@ -375,6 +423,10 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     forecasts more than m / 16 further passes (about the Gram route's cost) or
     finds sigma_rank at rounding level, or when its residuals do not converge
     in 50 passes.
+
+    Where the Gram matrix comes from the series and L <= K, u is found
+    without the trajectory matrix, and v is computed from u and a copy of the
+    series on its first read. Its bits do not depend on when that happens.
     """
     f = as_series(series)
     n = f.size
@@ -389,21 +441,24 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     triples = _block_triples(f, L, rank) if m >= _BLOCK_MIN_SIDE and rank <= m // 4 else None
     if triples is None:
         wide = L > K  # work on the smaller Gram side, transpose back at the end
-        A = embed(f, L)
+        # only a dense-product Gram, a wide window's u and the SVD read A
+        A = None if not wide and _gram_from_series(L, K) else embed(f, L)
         if wide:
             A = A.T
         route = "gram"
-        triples = _gram_triples(f, A, rank)
+        triples = _gram_triples(f, m, A, rank)
         if triples is None:
             route = "svd"
-            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+            U, s, Vt = np.linalg.svd(embed(f, L) if A is None else A, full_matrices=False)
             triples = s[:rank].copy(), U[:, :rank].copy(), Vt[:rank].T.copy()
         sig, W, other = triples
         triples = (sig, other, W) if wide else triples
     sig, U_out, V_out = triples
     U_out = np.ascontiguousarray(U_out)
-    V_out = np.ascontiguousarray(V_out)
+    V_out = None if V_out is None else np.ascontiguousarray(V_out)
     _fix_signs(U_out, V_out)
+    if V_out is None:
+        V_out = partial(_right_vectors, f.copy(), L, U_out, sig)
     return EigentripleSet(
         sigmas=sig, u=U_out, v=V_out, method="basic", L=L, K=K, route=route
     )

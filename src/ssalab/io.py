@@ -101,8 +101,9 @@ def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
 
     Raises ValueError for a document that is malformed, names a method other
     than "basic" or "toeplitz", gives L or K as anything but a positive
-    integer, holds NaN or infinite values, or lists sigmas that are negative
-    or increasing.
+    integer, holds NaN or infinite values, gives sigmas as anything but a flat
+    list, has vectors whose shapes disagree with L, K and the sigmas, or lists
+    sigmas that are negative or increasing.
     """
     try:
         method = doc["method"]
@@ -118,13 +119,13 @@ def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
         raise ValueError(f"eigentriple method must be 'basic' or 'toeplitz', got {method!r}")
     if not all(np.all(np.isfinite(x)) for x in (sigmas, u, v, mean)):
         raise ValueError("eigentriple document holds NaN or infinite values")
-    if np.any(sigmas < 0) or np.any(np.diff(sigmas) > 0):
-        raise ValueError("eigentriple sigmas must be nonnegative and nonincreasing")
-    if u.shape != (L, sigmas.size) or v.shape != (K, sigmas.size):
+    if sigmas.ndim != 1 or u.shape != (L, sigmas.size) or v.shape != (K, sigmas.size):
         raise ValueError(
             f"eigentriple document dimensions disagree: L={L}, K={K}, "
-            f"u{u.shape}, v{v.shape}, {sigmas.size} sigmas"
+            f"u{u.shape}, v{v.shape}, sigmas{sigmas.shape}"
         )
+    if np.any(sigmas < 0) or np.any(np.diff(sigmas) > 0):
+        raise ValueError("eigentriple sigmas must be nonnegative and nonincreasing")
     ets = EigentripleSet(sigmas=sigmas, u=u, v=v, method=method, L=L, K=K)
     return ets, mean
 

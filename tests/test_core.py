@@ -1,3 +1,7 @@
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -490,6 +494,20 @@ def test_lagged_gram_matches_dense_product():
     assert picked == {True, False}
 
 
+def test_lagged_gram_sums_long_series_in_blocks(monkeypatch):
+    # dot products past OpenBLAS's threading length contend in the pool's workers
+    lengths = []
+    correlate = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda a, v, mode: lengths.append(v.size) or correlate(a, v, mode))
+    rng = np.random.default_rng(14)
+    for k in (core._DOT_BLOCK, core._DOT_BLOCK + 1, 3 * core._DOT_BLOCK + 17):
+        for m in (2, 20):
+            f = rng.standard_normal(k + m - 1)
+            G = sl.embed(f, m) @ sl.embed(f, m).T
+            assert np.max(np.abs(core._lagged_gram(f, m) - G)) <= 1e-14 * np.max(np.abs(G))
+    assert max(lengths) == core._DOT_BLOCK
+
+
 def test_gram_route_forms_long_narrow_gram_from_series(monkeypatch):
     calls = []
     lagged = core._lagged_gram
@@ -503,6 +521,82 @@ def test_gram_route_forms_long_narrow_gram_from_series(monkeypatch):
         calls.clear()
         assert sl.leading_triples(_noisy_cosine(n_points, 13), L, 2).route == "gram"
         assert calls == ([20] if from_series else [])
+
+
+def _count_embed_calls(monkeypatch):
+    """Record the window of every core.embed call, made by core or by the caller."""
+    calls = []
+    embed = core.embed
+    monkeypatch.setattr(core, "embed", lambda f, L: calls.append(L) or embed(f, L))
+    return calls
+
+
+def test_series_gram_route_computes_v_on_first_read(monkeypatch):
+    # u comes from the series-formed Gram, so the trajectory matrix is built
+    # only when v is read, once, from a copy of the series the call took
+    calls = _count_embed_calls(monkeypatch)
+    for n_points in (6399, 25596):
+        f = _noisy_cosine(n_points, 17)
+        kept = f.copy()
+        calls.clear()
+        t = sl.leading_triples(f, 20, 2)
+        assert (t.route, calls) == ("gram", [])
+        f[:] = 0.0  # the caller reuses its array
+        v = t.v
+        assert calls == [20]
+        assert t.v is v and calls == [20]
+        X = sl.embed(kept, 20)
+        assert v.tobytes() == ((t.u.T @ X).T / t.sigmas).tobytes()
+        assert pickle.loads(pickle.dumps(t)).v.tobytes() == v.tobytes()
+        ets = sl.decompose(X)
+        assert np.max(np.abs(t.sigmas - ets.sigmas[:2])) <= 1e-9 * ets.sigmas[0]
+        assert _residual_norm(t.u, ets.u[:, :2]) <= 1e-7
+        assert _residual_norm(v, ets.v[:, :2]) <= 1e-7
+        dense = sl.hankelize(sl.group_matrix(ets, [1, 2]))
+        assert np.max(np.abs(sl.rank_reconstruction(t) - dense)) <= 1e-9
+
+
+def test_first_read_of_v_from_many_threads():
+    # the first read takes no lock: threads that race on it each compute the
+    # same bits, and whichever array is kept is one of them
+    t = sl.leading_triples(_noisy_cosine(6399, 18), 20, 2)
+    start = threading.Barrier(6)
+    reads = []
+
+    def read():
+        start.wait(timeout=10)
+        reads.append(t.v)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and len(reads) == 6
+    assert {v.tobytes() for v in reads} == {t.v.tobytes()}
+    assert any(t.v is v for v in reads)
+
+
+def test_other_routes_build_v_eagerly(monkeypatch):
+    calls = _count_embed_calls(monkeypatch)
+    cases = [(_noisy_cosine(6399, 13), 6380, "gram"),  # wide: u itself needs A
+             (1e160 * cosine(25596), 20, "svd"),  # the Gram overflows
+             (_noisy_cosine(1596, 13), 798, "block")]
+    for f, L, route in cases:
+        t = sl.leading_triples(f, L, 2)
+        assert t.route == route and isinstance(vars(t)["v"], np.ndarray)
+    # one block pass cannot converge, so 1596/798 reaches the dense-product Gram
+    monkeypatch.setattr(core, "_BLOCK_MAX_PASSES", 1)
+    for n_points, L in [(1596, 798), (100, 50)]:
+        calls.clear()
+        t = sl.leading_triples(_noisy_cosine(n_points, 13), L, 2)
+        assert (t.route, calls) == ("gram", [L])
+        assert isinstance(vars(t)["v"], np.ndarray)
 
 
 def test_block_route_falls_back_to_gram(monkeypatch):

@@ -85,6 +85,10 @@ def test_eigentriples_from_dict_rejects_nonfinite_and_unknown_method():
                 [*sigmas[:-1], -0.5 * sigmas[-1]]):
         with pytest.raises(ValueError, match="nonnegative and nonincreasing"):
             sio.eigentriples_from_dict({**good, "sigmas": bad})
+    # a nested list loaded as a (1, d) array and then failed in a bare matmul
+    for bad in ([sigmas], [[s] for s in sigmas], sigmas[0]):
+        with pytest.raises(ValueError, match=r"dimensions disagree: .* sigmas\("):
+            sio.eigentriples_from_dict({**good, "sigmas": bad})
 
 
 def test_decompose_export_matches_reference_format(tmp_path):
@@ -162,7 +166,8 @@ def test_cli_reconstruct_rejects_nonfinite_decomposition(tmp_path, capsys):
                          ("method", "ssa"),
                          ("L", good["L"] + 0.9),
                          ("sigmas", [-sigmas[0]] + sigmas[1:]),
-                         ("sigmas", [sigmas[1], sigmas[0]] + sigmas[2:])):
+                         ("sigmas", [sigmas[1], sigmas[0]] + sigmas[2:]),
+                         ("sigmas", [sigmas])):
         bad = tmp_path / f"bad_{field}.json"
         bad.write_text(json.dumps({**good, field: value}))
         capsys.readouterr()

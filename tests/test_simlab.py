@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ssalab as sl
+import ssalab.core as core
 import ssalab.simlab as simlab
 from ssalab.errors import InvalidSpec, OutOfDomain
 from ssalab.simlab import EXACT_SEPARABILITY_RMSE, pool_size
@@ -78,6 +79,68 @@ def test_block_route_reproducible_across_worker_counts(monkeypatch):
     serial = sl.mc_point_errors(spec, 200, [0, 199, 398], 8, master_seed=5, threads=1)
     pooled = sl.mc_point_errors(spec, 200, [0, 199, 398], 8, master_seed=5, threads=2)
     assert pooled.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("functional", ["projector", "frequency", "base", "reconstruction"])
+def test_narrow_red_cell_builds_trajectory_matrix_only_for_v(monkeypatch, functional):
+    # at 6399/20 the Gram comes from the series, so only a functional that
+    # reads v pays for embed: once per replication
+    calls = []
+    embed = core.embed
+    monkeypatch.setattr(core, "embed", lambda f, L: calls.append(L) or embed(f, L))
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    spec = sl.SignalSpec("damped_cos_rn", 6399)
+    serial = sl.mc_error_surface(spec, [20], 3, functional, threads=1)
+    assert calls == ([20] * 3 if functional == "reconstruction" else [])
+    pooled = sl.mc_error_surface(spec, [20], 3, functional, threads=2)
+    assert _as_bytes(pooled) == _as_bytes(serial)
+
+
+def _first_order_error_map(U, V):
+    """N x N matrix M with delta f = M eps to first order in the noise eps.
+
+    U (L x r) and V (K x r) are the signal's singular vectors. The rank-r
+    approximation of the noisy trajectory matrix moves by P_U E + E P_V -
+    P_U E P_V (Nekrutkin 2010), E = embed(eps); diagonal averaging turns P_U E
+    into P_U summed over the K windows of rows j..j+L-1, E P_V into P_V over
+    the L windows of rows i..i+K-1, and P_U E P_V into sum_kl c_kl c_kl^T with
+    c_kl = conv(u_k, v_l).
+    """
+    (L, r), K = U.shape, V.shape[0]
+    P_U, P_V = U @ U.T, V @ V.T
+    M = np.zeros((L + K - 1, L + K - 1))
+    for j in range(K):
+        M[j:j + L, j:j + L] += P_U
+    for i in range(L):
+        M[i:i + K, i:i + K] += P_V
+    c = np.array([np.convolve(U[:, k], V[:, l]) for k in range(r) for l in range(r)])
+    return (M - c.T @ c) / sl.diagonal_counts(L, K)[:, None]
+
+
+@pytest.mark.parametrize("n_points, L, route", [(1700, 20, "gram"), (399, 20, "gram"),
+                                                 (399, 200, "block")])
+def test_reconstruction_rmse_matches_first_order_oracle(n_points, L, route):
+    # 1700/20 forms the Gram from the series and computes v on first read;
+    # 399/20 forms it by the dense product; 399/200 takes the block iteration
+    spec = sl.SignalSpec("damped_cos_wn", n_points)
+    signal = sl.signal_values(spec)
+    ets = sl.decompose(sl.embed(signal, L))
+    M = _first_order_error_map(ets.u, ets.v)
+    eps = 1e-4 * np.random.default_rng(1).standard_normal(n_points)
+    rec = sl.rank_reconstruction(sl.decompose(sl.embed(signal + eps, L)), [1, 2])
+    assert np.linalg.norm(rec - signal - M @ eps) <= 1e-4 * np.linalg.norm(M @ eps)
+    observed = signal + spec.sigma * np.random.default_rng(2).standard_normal(n_points)
+    assert sl.leading_triples(observed, L, 2).route == route
+    # the squared per-replication error is the Gaussian quadratic form
+    # sigma^2 eps^T A eps with A = M^T M / N: mean sigma^2 tr A, variance
+    # 2 sigma^4 ||A||_F^2, so the mean over reps has a standard error
+    A = M.T @ M / n_points
+    reps = 400
+    expected = spec.sigma**2 * np.trace(A)
+    se = spec.sigma**2 * np.sqrt(2.0 * np.sum(A * A) / reps)
+    surf = sl.mc_error_surface(spec, [L], reps, "reconstruction", threads=1)
+    assert surf.failures[0] == 0
+    assert abs(surf.rmse[0] ** 2 - expected) <= 4.0 * se
 
 
 def test_rank_too_large_for_window_is_invalid_spec():
