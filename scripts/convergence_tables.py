@@ -3,8 +3,7 @@
 
 For each residual type and window policy, estimates Delta = RMSE(N1) /
 RMSE(4 N1); values near 8, 2 and 1 flag rates N^-1.5, N^-0.5 and none.
-Desk-scale default is N1=399; pass --n1 6399 for the published lengths
-(fixed-window rows stay cheap, the proportional rows get expensive).
+Desk-scale default is N1=399; pass --n1 6399 for the published lengths.
 Exact-separability cells print as '-'.
 """
 

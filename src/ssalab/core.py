@@ -25,7 +25,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DecompositionFailed, IndexOutOfRange, WindowOutOfRange, integer
+from .errors import DecompositionFailed, IndexOutOfRange, check_window, integer
 
 DEFAULT_SIGMA_CUTOFF = 1e-12
 
@@ -45,16 +45,10 @@ def as_series(values) -> np.ndarray:
     return f
 
 
-def _check_window(n: int, L: int) -> None:
-    integer("window length", L, WindowOutOfRange)
-    if not 2 <= L <= n - 1:
-        raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
-
-
 def embed(series, L: int) -> np.ndarray:
     """Build the L x K trajectory (Hankel) matrix of lagged windows."""
     f = as_series(series)
-    _check_window(f.size, L)
+    check_window(f.size, L)
     return sliding_window_view(f, f.size - L + 1).copy()
 
 
@@ -148,7 +142,7 @@ def lag_covariance_matrix(series, L: int) -> np.ndarray:
     """Toeplitz matrix of averaged lag products, entry(i,j) depending on |i-j|."""
     f = as_series(series)
     n = f.size
-    _check_window(n, L)
+    check_window(n, L)
     # full correlation gives sum_m f_m f_{m+k} at offset N-1+k
     acov = np.correlate(f, f, mode="full")[n - 1:n - 1 + L]
     first_row = acov / (n - np.arange(L))
@@ -430,7 +424,7 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     """
     f = as_series(series)
     n = f.size
-    _check_window(n, L)
+    check_window(n, L)
     K = n - L + 1
     rank = integer("rank", rank, minimum=1)
     m = min(L, K)

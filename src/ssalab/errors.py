@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and `integer`, the one check
-that every layer runs on a count, a window, a rank or a seed.
+"""Exception types shared across the package, `integer`, the one check that
+every layer runs on a count, a window, a rank or a seed, and `check_window`,
+the one range rule for a window length.
 
 Every error message names the precondition that failed, so CLI diagnostics
 stay one line.
@@ -95,3 +96,10 @@ def integer(name: str, value, error=ValueError, minimum=None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_window(n: int, L) -> None:
+    """WindowOutOfRange unless L is an integer with 2 <= L <= n-1."""
+    integer("window length", L, WindowOutOfRange)
+    if not 2 <= L <= n - 1:
+        raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")

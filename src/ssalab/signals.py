@@ -20,9 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import decompose, embed
-from .errors import InvalidSpec, integer
-from .subspace import signal_basis
+# decompose, embed and signal_basis are unused here, but perfbench's tracer
+# wraps each under this module's name; they go once it finds its targets in
+# the source (ROADMAP item 1)
+from .core import decompose, embed  # noqa: F401
+from .errors import InvalidSpec, RankTooLarge, check_window, integer
+from .subspace import signal_basis  # noqa: F401
 
 
 def white_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -203,10 +206,40 @@ def true_frequencies(spec: SignalSpec) -> Optional[np.ndarray]:
 
 @lru_cache(maxsize=128)
 def exact_basis(spec: SignalSpec, L: int) -> np.ndarray:
-    """Exact signal-subspace basis at window L; cached and shared, so read-only."""
-    r = exact_rank(spec)
-    if r is None:
+    """Orthonormal (L, r) basis of the noise-free trajectory space at window L;
+    cached and shared, so read-only.
+
+    A series of rank r has its lagged windows in the span of its pole vectors
+    (z^i), i = 0..L-1. Each conjugate pair z = rho e^{i omega} gives the real
+    columns rho^e cos(omega i) and rho^e sin(omega i), a real pole gives
+    rho^e sign(z)^i, and one thin QR of that L x r matrix returns the basis.
+    The exponent is e = i - (L-1) when rho > 1, so no entry overflows, and
+    e = i otherwise. The columns span the same space as the r leading left
+    singular vectors of the trajectory matrix but are not those vectors. The
+    cost is O(L r^2) time and O(L r) memory; the L x K matrix is never built.
+
+    InvalidSpec for a kind of infinite rank, WindowOutOfRange unless L is an
+    integer in 2..N-1, RankTooLarge when L < r or K = N-L+1 < r, and
+    ValueError when r = L, which leaves no noise complement.
+    """
+    poles = true_poles(spec)
+    if poles is None:
         raise InvalidSpec(f"kind {spec.kind!r} has no finite rank; no exact basis")
-    B = signal_basis(decompose(embed(signal_values(spec), L)), r)
+    check_window(spec.n, L)
+    r, K = poles.size, spec.n - L + 1
+    if min(L, K) < r:
+        raise RankTooLarge(f"rank {r} exceeds min(L, K) = {min(L, K)} at L={L}, N={spec.n}")
+    if r == L:
+        raise ValueError(f"rank {r} equals the window; a basis needs r < L")
+    i = np.arange(L, dtype=float)
+    columns = []
+    for z in poles[poles.imag >= 0]:
+        rho, omega = abs(z), np.angle(z)
+        scale = rho ** (i - (L - 1) if rho > 1 else i)
+        if z.imag > 0:
+            columns += [scale * np.cos(omega * i), scale * np.sin(omega * i)]
+        else:
+            columns.append(scale * np.sign(z.real) ** i)
+    B = np.linalg.qr(np.column_stack(columns))[0]
     B.flags.writeable = False
     return B

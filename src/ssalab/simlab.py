@@ -529,7 +529,8 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
     Ur = _make_truth(spec, L).exact_u
     S = embed(signal_values(spec), L)
     K = S.shape[1]
-    gram_pinv = (Ur / np.sum((S.T @ Ur) ** 2, axis=0)) @ Ur.T  # sigma_i^2 = |S^T u_i|^2
+    SU = S.T @ Ur  # (S S^T)^+ = Ur (Ur^T S S^T Ur)^-1 Ur^T for any orthonormal Ur
+    gram_pinv = Ur @ np.linalg.solve(SU.T @ SU, Ur.T)
     lag = np.arange(L)
     cov = spec.sigma**2 * (spec.alpha**lag)[np.abs(lag[:, None] - lag)]
     M = K * gram_pinv @ cov @ (np.eye(L) - Ur @ Ur.T)

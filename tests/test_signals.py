@@ -1,14 +1,15 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ssalab as sl
-from ssalab.errors import InvalidSpec
-from ssalab.signals import residual_values
+from ssalab.errors import InvalidSpec, RankTooLarge, WindowOutOfRange
+from ssalab.signals import _CATALOG, residual_values
 
 
 def test_const_saw_values():
@@ -113,6 +114,91 @@ def test_exact_basis_spans_signal_space():
     X = sl.embed(sl.signal_values(spec), 30)
     proj = B @ (B.T @ X)
     assert np.linalg.norm(proj - X) <= 1e-10 * np.linalg.norm(X)
+
+
+def test_exact_basis_error_contract():
+    with pytest.raises(InvalidSpec):
+        sl.exact_basis(sl.SignalSpec("chirp_am", n=100), 20)
+    two_cos = sl.SignalSpec("two_cos", n=100)
+    # r = L: a basis must leave a noise complement
+    with pytest.raises(ValueError) as info:
+        sl.exact_basis(two_cos, 4)
+    assert type(info.value) is ValueError
+    for L in (3, 98):  # L < r, then K < r
+        with pytest.raises(RankTooLarge):
+            sl.exact_basis(two_cos, L)
+    # 40.5 is not a window, though np.arange(40.5) has 41 entries
+    for L in (1, 100, 40.5, np.float64(40.0), True):
+        with pytest.raises(WindowOutOfRange):
+            sl.exact_basis(two_cos, L)
+
+
+def _svd_basis(spec, L):
+    """Oracle: the r leading left singular vectors of the noise-free trajectory
+    matrix, with all its singular values."""
+    ets = sl.decompose(sl.embed(sl.signal_values(spec), L))
+    return sl.signal_basis(ets, sl.exact_rank(spec)), ets.sigmas
+
+
+def test_exact_basis_matches_the_svd_oracle_at_every_window():
+    eps = np.finfo(float).eps
+    kinds = [k for k in _CATALOG if sl.exact_rank(sl.SignalSpec(k, 10)) is not None]
+    assert len(kinds) == 7
+    for kind in kinds:
+        for b in (0.99, 1.0, 1.01):
+            spec = sl.SignalSpec(kind, 100, b=b)
+            r = sl.exact_rank(spec)
+            for L in range(r + 1, spec.n - r + 1):
+                B = sl.exact_basis(spec, L)
+                oracle, sigmas = _svd_basis(spec, L)
+                assert B.shape == (L, r)
+                assert np.max(np.abs(B.T @ B - np.eye(r))) <= 1e-12
+                # the oracle resolves its subspace only to about eps sigma_1 / sigma_r
+                # (Wedin); two_cos at K = r + 1 has sigma_1 / sigma_r near 1e3
+                tol = 1e-12 + eps * np.sqrt(L) * sigmas[0] / sigmas[r - 1]
+                assert sl.subspace_distance(B, oracle) <= tol, (kind, b, L)
+
+
+@pytest.mark.parametrize("n, L, b", [(25596, 12793, 1.0), (14000, 12793, 1.05)])
+def test_exact_basis_at_the_published_lengths(n, L, b):
+    # L = 12793 is the `half` window at N = 25596, where the L x K SVD ran out of
+    # memory; b = 1.05 puts b^(L-1) near 1e271
+    spec = sl.SignalSpec("damped_cos_wn", n, b=b)
+    start = time.perf_counter()
+    B = sl.exact_basis.__wrapped__(spec, L)  # uncached
+    assert time.perf_counter() - start < 1.0
+    assert B.shape == (L, 2) and np.all(np.isfinite(B))
+    assert np.max(np.abs(B.T @ B - np.eye(2))) <= 1e-12
+    K = n - L + 1
+    for j in (0, K // 2, K - 1):
+        x = sl.signal_values(spec, np.arange(j, j + L))
+        x = x / np.max(np.abs(x))  # at b = 1.05 the square of |x| would overflow
+        # x itself carries cos's argument rounding at n near 25000, up to 8e-13
+        assert np.linalg.norm(x - B @ (B.T @ x)) <= 1e-12 * np.linalg.norm(x), j
+
+
+def test_exact_basis_where_the_growth_overflows():
+    # b^(L-1) is inf here; exact_basis scales the growing columns by b^-(L-1)
+    spec, L = sl.SignalSpec("damped_cos_wn", 14000, b=1.06), 12793
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.float64(spec.b) ** (L - 1))
+    B = sl.exact_basis(spec, L)
+    assert np.all(np.isfinite(B))
+    assert np.max(np.abs(B.T @ B - np.eye(2))) <= 1e-12
+    # the last trajectory column over b^(N-1), from the closed form
+    n = np.arange(spec.n - L, spec.n)
+    x = spec.b ** (n - n[-1]) * np.cos(2 * np.pi * n / 10)
+    assert np.linalg.norm(x - B @ (B.T @ x)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_exact_basis_of_a_negative_real_pole(monkeypatch):
+    # no catalog kind has one; (-0.9)^n has the pole -0.9 and rank 1
+    monkeypatch.setitem(_CATALOG, "alternating", sl.signals._Kind(
+        lambda spec, n: (-0.9) ** n, _CATALOG["exp_trend"].residual,
+        lambda spec: np.array([-0.9 + 0.0j])))
+    spec = sl.SignalSpec("alternating", 60)
+    for L in (2, 17, 30, 59):
+        assert sl.subspace_distance(sl.exact_basis(spec, L), _svd_basis(spec, L)[0]) <= 1e-12
 
 
 def test_gen_series_signal_is_a_fresh_copy_of_the_closed_form():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -343,6 +348,43 @@ def test_red_noise_projector_bound():
         sl.SignalSpec("damped_cos_rn", n=25599, b=1.0, sigma=0.1, alpha=0.5), 10
     )
     assert longer == pytest.approx(value, rel=0.05)
+
+
+@pytest.mark.parametrize("n, L, b", [(200, 23, 1.0), (200, 23, 0.99), (399, 57, 0.995)])
+def test_red_noise_projector_bound_matches_dense_oracle(n, L, b):
+    # off the period, the exact basis is not the singular vectors of S; the
+    # bound must depend on its span only
+    spec = sl.SignalSpec("damped_cos_rn", n, b=b, sigma=0.1, alpha=0.5)
+    S = sl.embed(sl.signal_values(spec), L)
+    G = S @ S.T
+    G_pinv = np.linalg.pinv(G, rcond=1e-10, hermitian=True)
+    lag = np.arange(L)
+    cov = spec.sigma**2 * spec.alpha ** np.abs(lag[:, None] - lag)
+    M = S.shape[1] * G_pinv @ cov @ (np.eye(L) - G @ G_pinv)
+    assert sl.red_noise_projector_bound(spec, L) == pytest.approx(np.linalg.norm(M, 2), rel=1e-10)
+
+
+_REPORT_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import ssalab as sl
+rep = sl.convergence_ratio(sl.SignalSpec("damped_cos_rn", 6399), 6399, "projector", "20",
+                           reps=6, master_seed=3, threads=1)
+print(rep.rmse1.hex(), rep.rmse2.hex(), rep.delta.hex())
+"""
+
+
+def test_narrow_red_report_does_not_depend_on_blas_threads():
+    # fresh interpreters, since OpenBLAS reads its thread count once at load
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    outs = [
+        subprocess.run([sys.executable, "-c", _REPORT_PROBE.format(src=src)], env=e,
+                       capture_output=True, text=True, check=True, timeout=300).stdout
+        for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert len(outs[0].split()) == 3
+    assert outs[0] == outs[1]
 
 
 # -- experiment configs -----------------------------------------------------------
