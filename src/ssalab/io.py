@@ -3,12 +3,30 @@
 reports. All floats are written with round-trip precision so a
 decomposition exported to JSON reproduces downstream results bit for bit;
 that format lives in the two writers `_write_csv` and `_write_json`.
+
+Overwriting: an existing output that is a regular file with one link, owned
+by the effective user, writable and without extended attributes (no ACL or
+security label to lose; Linux only) is replaced, not truncated. An empty
+file with the old group and permission bits is renamed over it and then
+written, so the path never goes missing, a process holding the old file
+keeps reading the old content, and if the new file cannot be made the old
+one stays. Every other output (a symlink, a hard link, a FIFO or
+`/dev/null`, another user's file) is truncated and written in place as
+before. Why: on ext4, truncating a file that was written seconds earlier
+waits for its blocks to be written and freed (tens of ms on a disk mounted
+with `discard`), and so does renaming a written file over it; renaming an
+empty file over it and writing afterwards does not. Once the old blocks are
+on disk (after the roughly 30 s writeback expiry or an fsync) every route
+waits about as long.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -44,8 +62,43 @@ def read_series(path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _replaceable(path) -> os.stat_result | None:
+    """The output's lstat when the overwrite rule replaces it, else None."""
+    try:
+        st = os.lstat(path)
+        if (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+                and os.access(path, os.W_OK) and hasattr(os, "listxattr")
+                and not os.listxattr(path, follow_symlinks=False)):
+            return st
+    except OSError:
+        pass
+    return None
+
+
+def _open_output(path):
+    """Open `path` for writing text by the module docstring's overwrite rule;
+    a step of the replacement that fails falls back to writing in place."""
+    st = _replaceable(path)
+    if st is not None:
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=os.path.dirname(path) or ".")
+        except OSError:
+            pass
+        else:
+            try:
+                os.fchown(fd, -1, st.st_gid)
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+                os.replace(tmp, path)
+            except OSError:
+                os.close(fd)
+                os.unlink(tmp)
+            else:
+                return open(fd, "w", encoding="utf-8")
+    return open(path, "w", encoding="utf-8")
+
+
 def _write_json(path, doc, indent=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         json.dump(doc, fh, indent=indent)
         fh.write("\n")
 
@@ -61,7 +114,7 @@ def _write_csv(path, header: str, columns) -> None:
         map(repr, _floats(col)) if np.asarray(col).dtype.kind == "f" else map(str, col)
         for col in columns
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -312,6 +315,136 @@ def test_error_surface_csv_exact_bytes(tmp_path):
         b"20,projector,0.1,nan,5\n"
         b"30,projector,0.3333333333333333,2.5e-17,5\n"
     )
+
+
+# -- overwriting outputs ------------------------------------------------------------
+
+
+def _two_series():
+    rng = np.random.default_rng(3)
+    return rng.standard_normal(40), rng.standard_normal(60)
+
+
+def _two_decompositions():
+    a, b = _two_series()
+    return sl.decompose(sl.embed(a, 10)), sl.decompose(sl.embed(b, 20))
+
+
+WRITERS = {
+    "write_series": (sio.write_series, _two_series),
+    "write_eigentriples": (sio.write_eigentriples, _two_decompositions),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_rewrite_replaces_a_regular_output(tmp_path, writer):
+    write, make = WRITERS[writer]
+    old, new = make()
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    write(out, old)
+    old_bytes = out.read_bytes()
+    os.chmod(out, 0o640)
+    write(fresh, new)
+    with open(out, "rb") as held:
+        write(out, new)
+        # a new file, not the old one truncated: the open handle keeps the old bytes
+        assert held.read() == old_bytes
+    assert out.read_bytes() == fresh.read_bytes() != old_bytes
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="giving a file another group needs root")
+def test_rewrite_keeps_the_group(tmp_path):
+    old, new = _two_series()
+    out = tmp_path / "out.csv"
+    sio.write_series(out, old)
+    gid = os.getegid() + 1
+    os.chown(out, -1, gid)
+    with open(out, "rb") as held:
+        sio.write_series(out, new)
+        assert held.read() != out.read_bytes()
+    assert out.stat().st_gid == gid
+
+
+def test_rewrite_through_a_symlink_writes_its_target(tmp_path):
+    old, new = _two_series()
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    sio.write_series(target, old)
+    link.symlink_to(target)
+    sio.write_series(link, new)
+    sio.write_series(fresh, new)
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_rewrite_of_a_hard_linked_output_is_seen_by_both_names(tmp_path):
+    old, new = _two_series()
+    out, other, fresh = tmp_path / "out.csv", tmp_path / "other.csv", tmp_path / "fresh.csv"
+    sio.write_series(out, old)
+    os.link(out, other)
+    sio.write_series(out, new)
+    sio.write_series(fresh, new)
+    assert out.read_bytes() == other.read_bytes() == fresh.read_bytes()
+    assert os.path.samefile(out, other)
+
+
+def _refuse(*args, **kwargs):
+    raise PermissionError(13, "refused")
+
+
+# running as root bypasses file modes and ownership, so each case is set up by a patch
+IN_PLACE = {
+    "another-owner": (os, "geteuid", lambda euid=os.geteuid(): euid + 1),
+    "no-write-access": (os, "access", lambda path, mode: False),
+    "extended-attributes": (os, "listxattr", lambda path, follow_symlinks: ["user.tag"]),
+    "no-temp-file": (tempfile, "mkstemp", _refuse),
+    "group-not-joinable": (os, "fchown", _refuse),
+    "rename-fails": (os, "replace", _refuse),
+}
+
+
+@pytest.mark.parametrize("case", list(IN_PLACE))
+def test_rewrite_falls_back_to_writing_in_place(tmp_path, monkeypatch, case):
+    old, new = _two_series()
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    sio.write_series(out, old)
+    sio.write_series(fresh, new)
+    monkeypatch.setattr(*IN_PLACE[case])
+    with open(out, "rb") as held:
+        sio.write_series(out, new)
+        # written in place: the open handle sees the new bytes
+        assert held.read() == fresh.read_bytes()
+    assert out.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "out.csv"]
+
+
+def test_rewrite_that_cannot_open_keeps_the_old_output(tmp_path, monkeypatch):
+    old, new = _two_series()
+    out = tmp_path / "out.csv"
+    sio.write_series(out, old)
+    old_bytes = out.read_bytes()
+
+    def no_descriptors(*args, **kwargs):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(tempfile, "mkstemp", no_descriptors)
+    monkeypatch.setattr(sio, "open", no_descriptors, raising=False)
+    with pytest.raises(OSError):
+        sio.write_series(out, new)
+    assert out.read_bytes() == old_bytes
+
+
+def test_cli_output_to_dev_null(tmp_path, monkeypatch):
+    src = tmp_path / "cos.csv"
+    write_cosine_csv(src)
+
+    def refuse(path):
+        raise AssertionError(f"unlink({path!r}) of a non-regular output")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    assert main(["reconstruct", "-i", str(src), "-L", "20", "--group", "1,2",
+                 "-o", os.devnull]) == 0
 
 
 def test_cli_simulate_reproducible(tmp_path):
