@@ -261,11 +261,12 @@ _GRAM_MIN_GAP = 1e-6
 # keeps it.
 _GRAM_SERIES_MIN_ASPECT = 8
 _GRAM_SERIES_MIN_SIZE = 2**15
-# OpenBLAS splits a dot product longer than 10000 over its own threads. Two
-# pool workers doing that at once fight over the same cores: on 2 vCPUs a
-# pooled Monte-Carlo call at L = 20, N = 25596 ran at half the one-thread rate
-# and its time swung threefold from call to call. The lagged products of
-# `_lagged_gram` are therefore summed in blocks of this length.
+# OpenBLAS splits a dot product longer than 10000 over its own threads, and
+# the split sums round differently from one thread's sum. The Monte-Carlo
+# runner holds OpenBLAS at one thread, but a direct `leading_triples` call
+# runs at whatever count the process has. The lagged products of
+# `_lagged_gram` are therefore summed in blocks of this length, so their bits
+# do not depend on the BLAS thread count.
 _DOT_BLOCK = 8192
 
 

@@ -6,7 +6,10 @@ with derive_seed(master_seed, experiment_id, i), draws the series with
 gen_series, takes leading_triples(observed, L, r) once per declared (L, r) and
 passes them to the experiment's evaluate(triples, row, failed_row), which fills
 row i only; so results are identical for any worker count. The pool size is
-min(cpu count, SSA_LAB_THREADS) unless a call asks for fewer. `_make_truth`
+min(cpu count, SSA_LAB_THREADS) unless a call asks for fewer. For the whole
+run, pooled or serial, `_replicate` holds numpy's OpenBLAS at one thread, so
+its threads do not compete with the workers, and restores the count after;
+where no OpenBLAS setter is found it leaves BLAS alone. `_make_truth`
 holds every check of rank, window and eigentriple count, `_cells` runs it for a
 surface (and for a config at parse time) and `_replicate` checks reps and the
 master seed first, so bad input raises InvalidSpec before any replication
@@ -19,9 +22,14 @@ reps, functional, eigentriples, seed and output; any other key is InvalidSpec.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -86,15 +94,78 @@ def derive_seed(master_seed: int, experiment_id: str, rep_index: int) -> int:
 def pool_size(requested: Optional[int] = None) -> int:
     """Worker count: cpu count (or `requested`), capped by SSA_LAB_THREADS.
 
-    SSA_LAB_THREADS, when set and nonempty, must be a positive integer.
+    `requested` and SSA_LAB_THREADS, when set and nonempty, must be positive
+    integers.
     """
-    base = requested if requested is not None else (os.cpu_count() or 1)
+    if requested is not None:
+        base = integer("threads", requested, InvalidSpec, minimum=1)
+    else:
+        base = os.cpu_count() or 1
     cap = os.environ.get("SSA_LAB_THREADS")
     if cap:
         if not cap.isdecimal() or int(cap) < 1:
             raise InvalidSpec(f"SSA_LAB_THREADS must be a positive integer, got {cap!r}")
         base = min(base, int(cap))
-    return max(1, base)
+    return base
+
+
+_OPENBLAS_THREADS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS in numpy.libs, the copy
+    numpy's wheels load; None where there is none (MKL, Accelerate, a system
+    BLAS). Looked up once, on the first replication run."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREADS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+# the thread count belongs to the process, so its bookkeeping does too
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread for the body, so its own threads do not
+    compete with the pool's workers. The first caller in saves the count and
+    the last one out restores it, so concurrent runs cannot leave it at one."""
+    global _blas_depth, _blas_saved
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
 
 
 def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width):
@@ -115,12 +186,13 @@ def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width
         evaluate([leading_triples(observed, L, r) for L, r in shapes], errors[i], failed[i])
 
     workers = pool_size(threads)
-    if workers > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_rep, range(reps)))
-    else:
-        for i in range(reps):
-            run_rep(i)
+    with _one_blas_thread():
+        if workers > 1 and reps > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_rep, range(reps)))
+        else:
+            for i in range(reps):
+                run_rep(i)
     return errors, failed
 
 

@@ -495,7 +495,7 @@ def test_lagged_gram_matches_dense_product():
 
 
 def test_lagged_gram_sums_long_series_in_blocks(monkeypatch):
-    # dot products past OpenBLAS's threading length contend in the pool's workers
+    # a dot product past OpenBLAS's threading length rounds by the BLAS thread count
     lengths = []
     correlate = np.correlate
     monkeypatch.setattr(np, "correlate", lambda a, v, mode: lengths.append(v.size) or correlate(a, v, mode))

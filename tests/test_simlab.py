@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,16 @@ def test_rank_too_large_for_window_is_invalid_spec():
         sl.mc_error_surface(WN, [2], 2, "projector")
 
 
+# a worker count must be a positive integer, as SSA_LAB_THREADS must
+_BAD_THREADS = [0, -1, 2.5, True, "2"]
+_THREADED_RUNS = {
+    "surface": lambda t: sl.mc_error_surface(WN, [40], 2, "projector", threads=t),
+    "points": lambda t: sl.mc_point_errors(WN, 40, [10], 2, threads=t),
+    "convergence": lambda t: sl.convergence_ratio(WN, 100, "projector", "20", 2, threads=t),
+    "split": lambda t: sl.forecast_error_split(WN, 40, 50, 2, threads=t),
+}
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -170,11 +181,13 @@ def test_rank_too_large_for_window_is_invalid_spec():
         lambda: sl.mc_point_errors(WN, 40, [10], 2, master_seed=True),
         lambda: sl.convergence_ratio(WN, 100, "projector", "20", 2, master_seed=1.5),
         lambda: sl.forecast_error_split(WN, 40, 50, 2, master_seed=np.float64(3.0)),
-    ],
+    ]
+    + [lambda t=t, run=run: run(t) for run in _THREADED_RUNS.values() for t in _BAD_THREADS],
     ids=["point-negative", "point-N", "points-reps-0", "point-fraction", "surface-reps-float",
          "split-reps-0", "forecast-eigentriples-L", "surface-window-float",
          "surface-eigentriples-float", "surface-seed-text", "points-seed-bool",
-         "convergence-seed-float", "split-seed-numpy-float"],
+         "convergence-seed-float", "split-seed-numpy-float"]
+    + [f"{name}-threads-{t!r}" for name in _THREADED_RUNS for t in _BAD_THREADS],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
     def no_replication(*args, **kwargs):
@@ -364,6 +377,82 @@ def test_red_noise_projector_bound_matches_dense_oracle(n, L, b):
     assert sl.red_noise_projector_bound(spec, L) == pytest.approx(np.linalg.norm(M, 2), rel=1e-10)
 
 
+def test_replication_runner_restores_blas_thread_count(monkeypatch):
+    blas = simlab._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread setter in numpy.libs; the runner leaves BLAS alone")
+    get, set_ = blas
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    original = get()
+    set_(2)  # a count the cap must move away from and back to
+    seen = []
+
+    def run(reps, threads, evaluate=lambda triples, row, failed_row: seen.append(get())):
+        simlab._replicate(WN, "blas", 0, reps, threads, [(40, 2)], evaluate, 1)
+
+    try:
+        before = get()
+        run(4, 2)
+        assert get() == before
+        run(4, 1)
+        assert get() == before
+
+        def fails(triples, row, failed_row):
+            raise RuntimeError("evaluate failed")
+
+        with pytest.raises(RuntimeError):
+            run(2, 1, fails)
+        assert get() == before
+
+        # both calls hold the cap at once, then the first leaves while the
+        # second still runs: the count stays at one until the last one leaves
+        both_in, first_out = threading.Barrier(2, timeout=60), threading.Event()
+        second_calls = []
+
+        def first(triples, row, failed_row):
+            both_in.wait()
+
+        def second(triples, row, failed_row):
+            second_calls.append(None)
+            if len(second_calls) == 1:
+                both_in.wait()
+            else:
+                assert first_out.wait(60)
+                seen.append(get())
+
+        callers = [threading.Thread(target=run, args=(1, 1, first)),
+                   threading.Thread(target=run, args=(2, 1, second))]
+        for caller in callers:
+            caller.start()
+        callers[0].join(60)
+        assert not callers[0].is_alive()
+        first_out.set()
+        callers[1].join(60)
+        assert not callers[1].is_alive()
+        assert get() == before
+        assert seen == [1] * 9
+
+        # more callers than cores, switching often: a lost update of the
+        # depth would restore the count under a running caller or never
+        seen.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: [run(2, 1) for _ in range(5)])
+                       for _ in range(6)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert get() == before
+        assert seen == [1] * 60
+    finally:
+        set_(original)
+
+
 _REPORT_PROBE = """
 import sys
 sys.path.insert(0, {src!r})
@@ -373,18 +462,47 @@ rep = sl.convergence_ratio(sl.SignalSpec("damped_cos_rn", 6399), 6399, "projecto
 print(rep.rmse1.hex(), rep.rmse2.hex(), rep.delta.hex())
 """
 
+_CONFIG_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+import ssalab as sl
+with open({config!r}) as fh:
+    config = sl.ExperimentConfig.from_dict(json.load(fh))
+for threads in (1, None):
+    surf = sl.run_experiment(config, threads=threads)
+    print(*(x.hex() for x in [*surf.rmse, *surf.msd]))
+"""
 
-def test_narrow_red_report_does_not_depend_on_blas_threads():
-    # fresh interpreters, since OpenBLAS reads its thread count once at load
+
+def _fresh_outputs(probe: str, **fields) -> list:
+    """stdout of `probe` in two fresh interpreters, without and with
+    OPENBLAS_NUM_THREADS=1 (OpenBLAS reads its thread count once, at load)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    outs = [
-        subprocess.run([sys.executable, "-c", _REPORT_PROBE.format(src=src)], env=e,
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "SSA_LAB_THREADS")}
+    return [
+        subprocess.run([sys.executable, "-c", probe.format(src=src, **fields)], env=e,
                        capture_output=True, text=True, check=True, timeout=300).stdout
         for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
     ]
+
+
+def test_narrow_red_report_does_not_depend_on_blas_threads():
+    outs = _fresh_outputs(_REPORT_PROBE)
     assert len(outs[0].split()) == 3
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("name", ["two_cos_table", "projector_white_noise"])
+def test_config_surface_does_not_depend_on_blas_threads(name):
+    # two_cos_table runs the dense-product Gram route at L = 40 and 100 and the
+    # block route at L = 200; projector_white_noise runs the Gram route at
+    # N = 100; each interpreter prints one line at threads=1, one at the pool
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / f"{name}.json"
+    lines = [line for out in _fresh_outputs(_CONFIG_PROBE, config=str(config))
+             for line in out.splitlines()]
+    assert len(lines) == 4 and lines[0]
+    assert lines == [lines[0]] * 4
 
 
 # -- experiment configs -----------------------------------------------------------
