@@ -1,20 +1,27 @@
 """Monte-Carlo error laboratory: error-vs-window surfaces, convergence ratios,
 the closed-form variance of reconstruction errors, and the forecast error split.
 
-Every experiment runs through `_replicate`: replication i seeds a generator
-with derive_seed(master_seed, experiment_id, i), draws the series with
-gen_series, takes leading_triples(observed, L, r) once per declared (L, r) and
-passes them to the experiment's evaluate(triples, row, failed_row), which fills
-row i only; so results are identical for any worker count. The pool size is
-min(cpu count, SSA_LAB_THREADS) unless a call asks for fewer. For the whole
-run, pooled or serial, `_replicate` holds numpy's OpenBLAS at one thread, so
-its threads do not compete with the workers, and restores the count after;
-where no OpenBLAS setter is found it leaves BLAS alone. `_make_truth`
-holds every check of rank, window and eigentriple count, `_cells` runs it for a
-surface (and for a config at parse time) and `_replicate` checks reps and the
-master seed first, so bad input raises InvalidSpec before any replication
-runs. Convergence reports and forecast splits hold only computed numbers,
-not the caller's arguments. A functional is named by one of the six
+Every experiment runs through `_replicate`, and every replication through
+`_run_reps`: replication i seeds a generator with derive_seed(master_seed,
+experiment_id, i), draws the series with gen_series, takes
+leading_triples(observed, L, r) once per declared (L, r) and passes them to
+the experiment's evaluate(triples, row, failed_row), a module-level function
+bound with functools.partial, which fills row i only; so results are
+identical for any worker count. A run's worker count is min(cpu count,
+SSA_LAB_THREADS, reps) unless a call asks for fewer. Above one worker, on
+Linux, the replications are cut into one contiguous chunk per worker and run
+by a persistent pool of forked worker processes, each with numpy's OpenBLAS at
+one thread. The pool is built on the first pooled run with min(cpu count,
+SSA_LAB_THREADS) workers, kept at that size, built anew after a worker dies,
+and shut down at interpreter exit; its workers see the module state of the
+moment it was built. A serial run (one worker or another platform) holds
+OpenBLAS at one thread in the calling process and restores the count after; where no
+OpenBLAS setter is found it leaves BLAS alone. `_make_truth` holds every
+check of rank, window and eigentriple count, `_cells` runs it for a surface
+(and for a config at parse time) and `_replicate` checks reps, the master
+seed and the worker count first, so bad input raises InvalidSpec before any
+replication runs. Convergence reports and forecast splits hold only computed
+numbers, not the caller's arguments. A functional is named by one of the six
 FUNCTIONALS strings, and a simulate config is a `signal` object, which
 becomes the SignalSpec and so fixes the residual, plus top-level windows,
 reps, functional, eigentriples, seed and output; any other key is InvalidSpec.
@@ -22,14 +29,15 @@ reps, functional, eigentriples, seed and output; any other key is InvalidSpec.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import glob
 import os
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -145,9 +153,10 @@ _blas_saved = None
 
 @contextmanager
 def _one_blas_thread():
-    """Hold OpenBLAS at one thread for the body, so its own threads do not
-    compete with the pool's workers. The first caller in saves the count and
-    the last one out restores it, so concurrent runs cannot leave it at one."""
+    """Hold OpenBLAS at one thread for the body of a serial run, as in the
+    pool's workers, so a run's bits and speed do not depend on BLAS's own
+    threads. The first caller in saves the count and the last one out
+    restores it, so concurrent runs cannot leave it at one."""
     global _blas_depth, _blas_saved
     blas = _openblas_threads()
     if blas is None:
@@ -168,32 +177,102 @@ def _one_blas_thread():
                 set_(_blas_saved)
 
 
+def _run_reps(spec, exp_id, master_seed, shapes, evaluate, width, lo, hi):
+    """Run replications lo..hi-1; return their (errors, failed) rows, each of
+    shape (hi - lo, width).
+
+    Replication i calls evaluate(triples, errors[i - lo], failed[i - lo]) with
+    one leading_triples result per (L, r) in `shapes`; errors start as NaN.
+    """
+    errors = np.full((hi - lo, width), np.nan)
+    failed = np.zeros((hi - lo, width), dtype=bool)
+    for row, i in enumerate(range(lo, hi)):
+        evaluate(_rep_triples(spec, exp_id, master_seed, shapes, i), errors[row], failed[row])
+    return errors, failed
+
+
+def _rep_triples(spec, exp_id, master_seed, shapes, i):
+    """Replication i's leading triples. The series are freed on return, before
+    the next draw: held into it, they change how glibc trims the heap, and a
+    one-thread mc-narrow-red call took about six times the minor faults."""
+    rng = np.random.default_rng(derive_seed(master_seed, exp_id, i))
+    signal, residual = gen_series(spec, rng)
+    observed = signal + residual
+    return [leading_triples(observed, L, r) for L, r in shapes]
+
+
+# fork starts a worker without re-importing __main__; spawn and forkserver
+# would re-run a script that calls the lab at top level
+_FORK = sys.platform.startswith("linux")
+# the persistent pool's executor; its own lock, so a fork never copies a held
+# _blas_lock into a worker
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_init() -> None:
+    blas = _openblas_threads()
+    if blas is not None:
+        blas[1](1)
+
+
+def _worker_pool():
+    """The pool of forked worker processes, built on first use with
+    pool_size() workers, the cap at that time."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            _openblas_threads()  # looked up here, so the workers only read the cache
+            _pool = ProcessPoolExecutor(
+                pool_size(), multiprocessing.get_context("fork"), initializer=_worker_init
+            )
+        return _pool
+
+
+@atexit.register
+def _shutdown_pool(executor=None) -> None:
+    """Shut down the pool (only if it is still `executor`, when given)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or executor not in (None, _pool):
+            return
+        executor, _pool = _pool, None
+    executor.shutdown()
+
+
 def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width):
     """Run `reps` replications; return (errors, failed), each of shape (reps, width).
 
-    Replication i calls evaluate(triples, errors[i], failed[i]) with one
-    leading_triples result per (L, r) in `shapes`; errors start as NaN.
+    See _run_reps for the rows; a pooled run stacks its chunks' rows by index.
     """
     master_seed = integer("master_seed", master_seed, InvalidSpec)
     reps = integer("reps", reps, InvalidSpec, minimum=1)
-    errors = np.full((reps, width), np.nan)
-    failed = np.zeros((reps, width), dtype=bool)
+    chunks = min(pool_size(threads), os.cpu_count() or 1, reps)
+    run = partial(_run_reps, spec, exp_id, master_seed, shapes, evaluate, width)
+    if chunks == 1 or not _FORK:
+        with _one_blas_thread():
+            return run(0, reps)
+    from concurrent.futures.process import BrokenProcessPool
 
-    def run_rep(i: int) -> None:
-        rng = np.random.default_rng(derive_seed(master_seed, exp_id, i))
-        signal, residual = gen_series(spec, rng)
-        observed = signal + residual
-        evaluate([leading_triples(observed, L, r) for L, r in shapes], errors[i], failed[i])
-
-    workers = pool_size(threads)
-    with _one_blas_thread():
-        if workers > 1 and reps > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_rep, range(reps)))
-        else:
-            for i in range(reps):
-                run_rep(i)
-    return errors, failed
+    bounds = [reps * k // chunks for k in range(chunks + 1)]
+    executor = _worker_pool()
+    try:
+        rows = executor.map(run, bounds[:-1], bounds[1:])
+    except BrokenProcessPool:
+        # a worker died while the pool sat idle (the OOM killer, a Ctrl-C in a
+        # REPL), so no chunk of this run can finish there: run it on a new pool
+        _shutdown_pool(executor)
+        executor = _worker_pool()
+        rows = executor.map(run, bounds[:-1], bounds[1:])
+    try:
+        rows = list(rows)
+    except BrokenProcessPool:
+        _shutdown_pool(executor)  # a worker died in this run; the next run builds a new pool
+        raise
+    return np.concatenate([e for e, _ in rows]), np.concatenate([f for _, f in rows])
 
 
 def canonical_functional(tag: str) -> str:
@@ -301,6 +380,14 @@ def _cells(spec: SignalSpec, windows, functional: str, eigentriples: Optional[in
     return tag, windows, [_make_truth(spec, L, eigentriples, tag) for L in windows]
 
 
+def _surface_row(tag, truths, triples, row, failed_row) -> None:
+    for j, (t, truth) in enumerate(zip(triples, truths)):
+        try:
+            row[j] = _functional_error(tag, t, truth)
+        except VerticalSubspace:
+            failed_row[j] = True
+
+
 @dataclass(frozen=True)
 class ErrorSurface:
     """MSD and RMSE of one error functional over a list of window lengths.
@@ -342,13 +429,7 @@ def mc_error_surface(
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
     shapes = [(t.L, t.rec_rank if tag in _REC_FUNCTIONALS else t.rank) for t in truths]
 
-    def evaluate(triples, row, failed_row) -> None:
-        for j, (t, truth) in enumerate(zip(triples, truths)):
-            try:
-                row[j] = _functional_error(tag, t, truth)
-            except VerticalSubspace:
-                failed_row[j] = True
-
+    evaluate = partial(_surface_row, tag, truths)
     errors, failed = _replicate(
         spec, exp_id, master_seed, reps, threads, shapes, evaluate, len(windows)
     )
@@ -374,6 +455,10 @@ def mc_error_surface(
     )
 
 
+def _point_row(truth, pts, triples, row, failed_row) -> None:
+    row[:] = rank_reconstruction(triples[0])[pts] - truth.signal[pts]
+
+
 def mc_point_errors(
     spec: SignalSpec,
     L: int,
@@ -394,9 +479,7 @@ def mc_point_errors(
         raise InvalidSpec(f"points must be indices in 0..N-1 = 0..{spec.n - 1}, got {points!r}")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:point:L={L}"
 
-    def evaluate(triples, row, failed_row) -> None:
-        row[:] = rank_reconstruction(triples[0])[pts] - truth.signal[pts]
-
+    evaluate = partial(_point_row, truth, pts)
     return _replicate(spec, exp_id, master_seed, reps, threads, [(L, truth.rank)], evaluate,
                       pts.size)[0]
 
@@ -547,6 +630,20 @@ class ForecastErrorSplit:
     failures: int
 
 
+def _split_row(truth, exact_lrf, triples, row, failed_row) -> None:
+    try:
+        est_lrf = min_norm_lrf(triples[0].u)
+    except VerticalSubspace:
+        failed_row[:] = True
+        return
+    rec = rank_reconstruction(triples[1])
+    tail_rec = rec[-est_lrf.size:]
+    tail_true = truth.signal[-est_lrf.size:]
+    row[0] = float(est_lrf @ tail_rec) - truth.next_value
+    row[1] = float(est_lrf @ tail_true) - truth.next_value
+    row[2] = float(exact_lrf @ tail_rec) - truth.next_value
+
+
 def forecast_error_split(
     spec: SignalSpec,
     lrf_window: int,
@@ -561,20 +658,8 @@ def forecast_error_split(
     exact_lrf = min_norm_lrf(truth.exact_u)
     exp_id = f"{spec.kind}:forecast-split:Llrf={lrf_window}"
 
-    def evaluate(triples, row, failed_row) -> None:
-        try:
-            est_lrf = min_norm_lrf(triples[0].u)
-        except VerticalSubspace:
-            failed_row[:] = True
-            return
-        rec = rank_reconstruction(triples[1])
-        tail_rec = rec[-est_lrf.size:]
-        tail_true = truth.signal[-est_lrf.size:]
-        row[0] = float(est_lrf @ tail_rec) - truth.next_value
-        row[1] = float(est_lrf @ tail_true) - truth.next_value
-        row[2] = float(exact_lrf @ tail_rec) - truth.next_value
-
     shapes = [(lrf_window, truth.rank), (rec_window, truth.rank)]
+    evaluate = partial(_split_row, truth, exact_lrf)
     errors, failed = _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, 3)
     failed = failed[:, 0]
     ok = errors[~failed]  # axis-0 sums run in replication order, not pairwise

@@ -1,7 +1,12 @@
+import functools
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +15,7 @@ import pytest
 import ssalab as sl
 import ssalab.core as core
 import ssalab.simlab as simlab
-from ssalab.errors import InvalidSpec, OutOfDomain
+from ssalab.errors import InvalidSpec, OutOfDomain, TlsDegenerate
 from ssalab.simlab import EXACT_SEPARABILITY_RMSE, pool_size
 
 
@@ -377,6 +382,10 @@ def test_red_noise_projector_bound_matches_dense_oracle(n, L, b):
     assert sl.red_noise_projector_bound(spec, L) == pytest.approx(np.linalg.norm(M, 2), rel=1e-10)
 
 
+def _worker_blas_threads(triples, row, failed_row):
+    row[:] = simlab._openblas_threads()[0](), os.getpid()
+
+
 def test_replication_runner_restores_blas_thread_count(monkeypatch):
     blas = simlab._openblas_threads()
     if blas is None:
@@ -392,7 +401,13 @@ def test_replication_runner_restores_blas_thread_count(monkeypatch):
 
     try:
         before = get()
-        run(4, 2)
+        # the pool's workers (forked processes) run at one BLAS thread; the
+        # parent's count does not move
+        errors, _ = simlab._replicate(WN, "blas", 0, 4, 2, [(40, 2)], _worker_blas_threads, 2)
+        assert errors[:, 0].tolist() == [1.0] * 4
+        if POOLED:
+            assert os.getpid() not in errors[:, 1]
+        seen.extend(errors[:, 0])  # the four counts the concurrent half's tally expects
         assert get() == before
         run(4, 1)
         assert get() == before
@@ -451,6 +466,165 @@ def test_replication_runner_restores_blas_thread_count(monkeypatch):
         assert seen == [1] * 60
     finally:
         set_(original)
+
+
+# -- the worker pool ---------------------------------------------------------------
+
+# runs above one worker go to the pool: forked workers on Linux, with 2+ CPUs
+POOLED = simlab._FORK and (os.cpu_count() or 1) > 1
+pooled = pytest.mark.skipif(not POOLED, reason="needs Linux (fork) and two or more CPUs")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t: sl.mc_error_surface(WN, [40, 50], 7, "reconstruction", master_seed=9, threads=t),
+        lambda t: sl.mc_point_errors(WN, 40, [0, 50, 99], 7, master_seed=9, threads=t),
+        lambda t: sl.forecast_error_split(WN, 40, 50, 7, master_seed=9, threads=t),
+    ],
+    ids=["mc_error_surface", "mc_point_errors", "forecast_error_split"],
+)
+def test_chunk_edges_do_not_change_results(monkeypatch, run):
+    # 7 replications cut into 2 or 3 contiguous chunks of unequal size, as on
+    # a machine of three or more CPUs
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = _as_bytes(run(1))
+    assert _as_bytes(run(2)) == serial
+    assert _as_bytes(run(3)) == serial
+
+
+def _raise_in_worker(parent, triples, row, failed_row):
+    if os.getpid() != parent:
+        raise TlsDegenerate("raised in a worker")
+
+
+def _worker_pid(triples, row, failed_row):
+    row[:] = os.getpid()
+
+
+def _die_in_worker(parent, triples, row, failed_row):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pooled
+def test_worker_error_reaches_caller_with_its_type():
+    evaluate = functools.partial(_raise_in_worker, os.getpid())
+    with pytest.raises(TlsDegenerate, match="raised in a worker"):
+        simlab._replicate(WN, "raise", 0, 4, 2, [(40, 2)], evaluate, 1)
+    # the pool survives an error in a replication
+    serial = sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=2, threads=1)
+    assert sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=2, threads=2).tobytes() == serial.tobytes()
+
+
+@pooled
+def test_killed_worker_breaks_the_call_and_the_next_call_rebuilds_the_pool():
+    evaluate = functools.partial(_die_in_worker, os.getpid())
+    with pytest.raises(BrokenProcessPool):
+        simlab._replicate(WN, "die", 0, 4, 2, [(40, 2)], evaluate, 1)
+    assert simlab._pool is None
+    serial = sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=3, threads=1)
+    assert sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=3, threads=2).tobytes() == serial.tobytes()
+    assert simlab._pool is not None
+
+
+def test_pool_never_starts_more_workers_than_the_cpu_count(monkeypatch):
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    simlab._shutdown_pool()
+    serial = sl.mc_point_errors(WN, 40, [0, 99], 3, master_seed=5, threads=1)
+    assert sl.mc_point_errors(WN, 40, [0, 99], 3, master_seed=5, threads=500).tobytes() \
+        == serial.tobytes()
+    workers = len(multiprocessing.active_children())
+    assert workers <= (os.cpu_count() or 1)
+    assert (workers > 0) == POOLED
+
+
+@pooled
+def test_concurrent_callers_at_different_worker_counts(monkeypatch):
+    # callers asking for 2 and 3 workers share the one pool; neither may find
+    # it shut down under it
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    serial = sl.mc_point_errors(WN, 40, [0, 50, 99], 7, master_seed=6, threads=1).tobytes()
+    results, errors = [], []
+
+    def caller(threads):
+        try:
+            for _ in range(5):
+                results.append(sl.mc_point_errors(WN, 40, [0, 50, 99], 7, master_seed=6,
+                                                  threads=threads).tobytes())
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    callers = [threading.Thread(target=caller, args=(t,)) for t in (2, 3)]
+    for c in callers:
+        c.start()
+    for c in callers:
+        c.join(120)
+        assert not c.is_alive()
+    assert errors == []
+    assert results == [serial] * 10
+
+
+@pooled
+def test_worker_killed_between_runs_does_not_fail_the_next_run(monkeypatch):
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    pids, _ = simlab._replicate(WN, "pids", 0, 4, 2, [(40, 2)], _worker_pid, 1)
+    executor = simlab._pool
+    os.kill(int(pids[0, 0]), signal.SIGKILL)
+    # wait until the pool has seen its worker die, as it has long before the
+    # next run when the worker died idle
+    for _ in range(3000):
+        try:
+            executor.submit(int).result()
+        except BrokenProcessPool:
+            break
+        time.sleep(0.01)
+    else:
+        pytest.fail("the pool did not notice its killed worker")
+    serial = sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=7, threads=1)
+    assert sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=7, threads=2).tobytes() == serial.tobytes()
+    assert simlab._pool not in (None, executor)
+
+
+@pooled
+def test_pooled_run_uses_the_module_state_of_the_pool_start(monkeypatch):
+    # a forked worker holds the module as it was at the fork, so a patch made
+    # after the pool started reaches only runs in the calling process
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    serial = sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=8, threads=1)
+    sl.mc_point_errors(WN, 40, [0, 99], 2, master_seed=8, threads=2)  # starts the pool
+
+    def patched(*args):
+        raise AssertionError("gen_series patched after the pool started")
+
+    monkeypatch.setattr(simlab, "gen_series", patched)
+    assert sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=8, threads=2).tobytes() == serial.tobytes()
+    with pytest.raises(AssertionError, match="patched after the pool started"):
+        sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=8, threads=1)
+
+
+_SIMULATE_PROBE = """
+import multiprocessing, sys
+sys.path.insert(0, {src!r})
+from ssalab.cli import main
+code = main(["simulate", "--config", {config!r}, "-o", {out!r}])
+print(code, len(multiprocessing.active_children()))
+"""
+
+
+@pooled
+def test_pooled_simulate_exits_cleanly(monkeypatch, tmp_path):
+    # the workers must be gone when the interpreter exits, or they would hold
+    # the captured pipes open and run() would wait; and the exit prints nothing
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "two_cos_table.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    probe = _SIMULATE_PROBE.format(src=src, config=str(config), out=str(tmp_path / "out"))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"0 {pool_size()}\n"
 
 
 _REPORT_PROBE = """
