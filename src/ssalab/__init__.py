@@ -26,13 +26,7 @@ from .estimate import (
     root_min_norm,
     root_music,
 )
-from .forecast import (
-    SignalModel,
-    characteristic_roots,
-    fit_signal_model,
-    min_norm_lrf,
-    recurrent_forecast,
-)
+from .forecast import characteristic_roots, min_norm_lrf, recurrent_forecast
 from .signals import (
     SignalSpec,
     exact_basis,
@@ -42,7 +36,6 @@ from .signals import (
     signal_values,
     true_frequencies,
     true_poles,
-    white_noise,
 )
 from .simlab import (
     ConvergenceReport,

@@ -45,10 +45,6 @@ class AllZeroCoefficients(SsaError):
     """A linear recurrence needs at least one nonzero coefficient."""
 
 
-class IllConditionedBasis(SsaError):
-    """Design matrix condition number too large for a trustworthy fit."""
-
-
 class ZeroPole(SsaError):
     """Poles must be nonzero."""
 

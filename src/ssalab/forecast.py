@@ -1,4 +1,4 @@
-"""Min-norm linear recurrences, recurrent forecasting, and parametric signal fits.
+"""Min-norm linear recurrences and recurrent forecasting.
 
 A recurrence is a plain 1-D float array in the min-norm solution layout: one
 of order t = L-1 predicting s_n = sum_k a_k s_{n-k} is the vector
@@ -9,30 +9,21 @@ vector only when it is 1-D, nonempty and finite. `characteristic_roots`
 places it in the last column of the order-t companion matrix, built inline,
 and returns all t of its eigenvalues as a plain complex array; a repeated
 root comes out as nearby copies, which `estimate` merges where it needs to.
-Poles passed to `fit_signal_model` are a plain array too, a pole listed k
-times having multiplicity k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import as_series
-from .errors import (
-    AllZeroCoefficients,
-    ForecastDiverged,
-    IllConditionedBasis,
-    VerticalSubspace,
-    ZeroPole,
-    integer,
-)
+# as_series is unused here, but perfbench's tracer wraps it under this
+# module's name; it goes once the tracer finds its targets in the source
+# (ROADMAP item 1)
+from .core import as_series  # noqa: F401
+from .errors import AllZeroCoefficients, ForecastDiverged, VerticalSubspace, integer
 from .subspace import basis_matrix
 
 VERTICALITY_EPS = 1e-10
 DIVERGENCE_BOUND = 1e100
-CONDITION_LIMIT = 1e12
 
 
 def _coefficients(coeffs) -> np.ndarray:
@@ -108,67 +99,3 @@ def characteristic_roots(coeffs) -> np.ndarray:
     C = np.eye(t, k=-1)
     C[:, -1] = a
     return np.linalg.eigvals(C).astype(complex, copy=False)
-
-
-@dataclass(frozen=True)
-class SignalModel:
-    """Sum of polynomial-times-power terms fitted to a series.
-
-    Term m contributes (sum_j c[m][j] n^j) * mu_m^n; coefficient arrays have
-    length equal to the pole multiplicity.
-    """
-
-    poles: np.ndarray
-    multiplicities: np.ndarray
-    coefficients: tuple
-    fit_residual: float
-
-    def evaluate(self, n) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        total = np.zeros(n.shape, dtype=complex)
-        for mu, k, c in zip(self.poles, self.multiplicities, self.coefficients):
-            poly = sum(c[j] * n**j for j in range(int(k)))
-            total += poly * mu**n
-        return total
-
-
-def _model_design(poles: np.ndarray, multiplicities: np.ndarray, n: np.ndarray) -> np.ndarray:
-    cols = []
-    for mu, k in zip(poles, multiplicities):
-        if mu == 0:
-            raise ZeroPole("signal-model basis functions need nonzero poles")
-        powers = mu**n
-        for j in range(int(k)):
-            cols.append(n**j * powers)
-    return np.column_stack(cols)
-
-
-def fit_signal_model(series, poles) -> SignalModel:
-    """Least-squares fit of polynomial-exponential terms at the given poles.
-
-    A pole listed k times has multiplicity k; the terms keep the order in
-    which each pole first appears. Extraneous poles of a non-minimal
-    recurrence come out with coefficients at the fit-noise level, which is
-    how signal roots can be told apart.
-    """
-    f = as_series(series)
-    p = np.atleast_1d(np.asarray(poles, dtype=complex))
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("poles must form a nonempty 1-D array")
-    if p.size > f.size:
-        raise ValueError(f"{p.size} basis functions exceed series length {f.size}")
-    distinct, first, counts = np.unique(p, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    distinct, counts = distinct[order], counts[order]
-    design = _model_design(distinct, counts, np.arange(f.size, dtype=float))
-    cond = np.linalg.cond(design)
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedBasis(
-            f"design matrix condition number {cond:.3g} exceeds {CONDITION_LIMIT:.3g}"
-        )
-    coef, _, _, _ = np.linalg.lstsq(design, f.astype(complex), rcond=None)
-    residual = float(np.linalg.norm(design @ coef - f))
-    groups = tuple(g.copy() for g in np.split(coef, np.cumsum(counts)[:-1]))
-    return SignalModel(
-        poles=distinct, multiplicities=counts, coefficients=groups, fit_residual=residual
-    )

@@ -28,10 +28,6 @@ from .errors import InvalidSpec, RankTooLarge, check_window, integer
 from .subspace import signal_basis  # noqa: F401
 
 
-def white_noise(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n)
-
-
 def red_noise(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     """Stationary AR(1) draw: unit marginal variance, innovation variance 1 - alpha^2.
 
@@ -96,7 +92,7 @@ def _two_cos_poles(spec):
 
 
 def _white(spec, rng, n):
-    return spec.sigma * white_noise(rng, spec.n)
+    return spec.sigma * rng.standard_normal(spec.n)
 
 
 def _no_poles(spec):
@@ -126,7 +122,7 @@ _CATALOG = {
     "damped_cos_wn": _Kind(_damped_cos, _white, _damped_cos_poles),
     "damped_cos_mix": _Kind(
         _damped_cos,
-        lambda spec, rng, n: (spec.sigma * white_noise(rng, spec.n) + spec.c) / np.sqrt(2.0),
+        lambda spec, rng, n: (spec.sigma * rng.standard_normal(spec.n) + spec.c) / np.sqrt(2.0),
         _damped_cos_poles,
     ),
     "damped_cos_rn": _Kind(
@@ -146,7 +142,7 @@ _CATALOG = {
     ),
     "chirp_trend_mix": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n**2 / 1e5),
-        lambda spec, rng, n: spec.sigma * white_noise(rng, spec.n)
+        lambda spec, rng, n: spec.sigma * rng.standard_normal(spec.n)
         + spec.c * np.cos(2.0 * np.pi * n / 10.0),
         _no_poles,
     ),

@@ -341,7 +341,8 @@ _REC_FUNCTIONALS = ("reconstruction", "reconstruction-last-10", "forecast-1-step
 
 def _functional_error(tag: str, t, truth: _Truth) -> float:
     """Error of one replication's leading triples `t`: truth.rec_rank of them
-    for the reconstruction functionals, truth.rank for the others."""
+    for the reconstruction functionals, truth.rank for the others. `tag` is
+    one of FUNCTIONALS, checked by canonical_functional before any run."""
     if tag == "projector":
         return subspace_distance(t.u, truth.exact_u)
     if tag in _REC_FUNCTIONALS:
@@ -354,17 +355,15 @@ def _functional_error(tag: str, t, truth: _Truth) -> float:
         lrf = min_norm_lrf(t.u)
         pred = float(lrf @ rec[-lrf.size:])
         return abs(pred - truth.next_value)
-    if tag in ("frequency", "base"):
-        poles = esprit_ls(t.u)
-        if tag == "frequency":  # distance to the nearest estimated frequency
-            est = pair_frequencies(poles)
-            diffs = [np.min(np.abs(est - w)) for w in truth.freqs]
-        else:  # log-modulus error of the pole nearest each true frequency
-            est = np.abs(np.angle(poles)) / (2.0 * np.pi)
-            logmod = np.log(np.abs(poles))
-            diffs = [logmod[np.argmin(np.abs(est - w))] - truth.log_b for w in truth.freqs]
-        return float(np.sqrt(np.mean(np.square(diffs))))
-    raise InvalidSpec(f"unknown functional {tag!r}")
+    poles = esprit_ls(t.u)
+    if tag == "frequency":  # distance to the nearest estimated frequency
+        est = pair_frequencies(poles)
+        diffs = [np.min(np.abs(est - w)) for w in truth.freqs]
+    else:  # base: log-modulus error of the pole nearest each true frequency
+        est = np.abs(np.angle(poles)) / (2.0 * np.pi)
+        logmod = np.log(np.abs(poles))
+        diffs = [logmod[np.argmin(np.abs(est - w))] - truth.log_b for w in truth.freqs]
+    return float(np.sqrt(np.mean(np.square(diffs))))
 
 
 # -- Monte-Carlo surfaces -----------------------------------------------------
@@ -424,6 +423,7 @@ def mc_error_surface(
     random numbers), seeded by the derivation contract above. `eigentriples`
     overrides how many leading terms the reconstruction functionals keep
     (default: the signal rank); parameter functionals always use the rank.
+    Pooled workers (`threads` > 1) see the module state of the moment the pool started.
     """
     tag, windows, truths = _cells(spec, windows, functional, eigentriples)
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
@@ -472,6 +472,7 @@ def mc_point_errors(
 
     Returns an array of shape (reps, len(points)); used to compare empirical
     per-point variance with the closed-form asymptotic expression.
+    Pooled workers (`threads` > 1) see the module state of the moment the pool started.
     """
     truth = _make_truth(spec, L)
     pts = np.asarray(points)
@@ -527,7 +528,8 @@ def convergence_ratio(
     master_seed: int = 0,
     threads: Optional[int] = None,
 ) -> ConvergenceReport:
-    """Run the same experiment at lengths n1 and 4 n1 and report the RMSE ratio."""
+    """Run the same experiment at lengths n1 and 4 n1 and report the RMSE ratio.
+    Pooled workers (`threads` > 1) see the module state of the moment the pool started."""
     tag = canonical_functional(functional)
     rank = _finite_rank(spec)
     rows = []
@@ -652,7 +654,8 @@ def forecast_error_split(
     master_seed: int = 0,
     threads: Optional[int] = None,
 ) -> ForecastErrorSplit:
-    """Separate recurrence-estimation error from reconstruction error, one step ahead."""
+    """Separate recurrence-estimation error from reconstruction error, one step ahead.
+    Pooled workers (`threads` > 1) see the module state of the moment the pool started."""
     truth = _make_truth(spec, lrf_window)
     _make_truth(spec, rec_window)  # checks the reconstruction window the same way
     exact_lrf = min_norm_lrf(truth.exact_u)
@@ -755,6 +758,8 @@ class ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ErrorSurface:
+    """mc_error_surface of a parsed config.
+    Pooled workers (`threads` > 1) see the module state of the moment the pool started."""
     return mc_error_surface(
         config.spec,
         config.windows,

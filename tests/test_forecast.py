@@ -5,7 +5,6 @@ import ssalab as sl
 from ssalab.errors import (
     AllZeroCoefficients,
     ForecastDiverged,
-    IllConditionedBasis,
     VerticalSubspace,
 )
 from ssalab.estimate import _merge_roots
@@ -187,59 +186,3 @@ def test_merge_roots_merges_near_duplicates():
     assert centers.dtype == complex and centers.size == 2
     assert counts[np.argmin(np.abs(centers - 1.0))] == 2
     assert counts.sum() == 3
-
-
-# -- signal-model fitting ------------------------------------------------------------
-
-
-def test_fit_signal_model_exponential():
-    f = 3.0 * 2.0 ** np.arange(12)
-    model = sl.fit_signal_model(f, np.array([2.0 + 0j]))
-    assert model.coefficients[0][0] == pytest.approx(3.0, abs=1e-8)
-
-
-def test_fit_signal_model_cosine_half_coefficients():
-    f = np.cos(2 * np.pi * np.arange(40) / 10)
-    z = np.exp(2j * np.pi / 10)
-    model = sl.fit_signal_model(f, np.array([z, z.conjugate()]))
-    for c in model.coefficients:
-        assert abs(c[0] - 0.5) <= 1e-8
-
-
-def test_fit_signal_model_extraneous_pole_gets_zero():
-    f = np.cos(2 * np.pi * np.arange(40) / 10)
-    z = np.exp(2j * np.pi / 10)
-    model = sl.fit_signal_model(f, np.array([z, z.conjugate(), 0.5 + 0j]))
-    assert abs(model.coefficients[2][0]) <= 1e-8
-
-
-def test_fit_signal_model_conjugate_coefficients():
-    rng = np.random.default_rng(1)
-    f = 0.97 ** np.arange(50) * np.cos(2 * np.pi * np.arange(50) / 7 + 0.3)
-    z = 0.97 * np.exp(2j * np.pi / 7)
-    model = sl.fit_signal_model(f, np.array([z, z.conjugate()]))
-    assert model.coefficients[0][0] == pytest.approx(
-        model.coefficients[1][0].conjugate(), abs=1e-8
-    )
-    recon = model.evaluate(np.arange(50))
-    np.testing.assert_allclose(recon.real, f, atol=1e-8)
-    assert np.max(np.abs(recon.imag)) <= 1e-8
-
-
-def test_fit_signal_model_ill_conditioned():
-    # the raw power basis of a strong exponential next to a constant is
-    # hopelessly scaled over 60 samples
-    f = 2.0 ** np.arange(60)
-    with pytest.raises(IllConditionedBasis):
-        sl.fit_signal_model(f, np.array([1.0 + 0j, 2.0 + 0j]))
-
-
-def test_fit_signal_model_repeated_pole():
-    # (2 + 0.5 n) 0.9^n needs multiplicity two: the pole is listed twice
-    n = np.arange(30)
-    f = (2.0 + 0.5 * n) * 0.9**n
-    model = sl.fit_signal_model(f, [0.9, 0.9])
-    np.testing.assert_array_equal(model.poles, [0.9 + 0j])
-    np.testing.assert_array_equal(model.multiplicities, [2])
-    assert model.coefficients[0][0] == pytest.approx(2.0, abs=1e-8)
-    assert model.coefficients[0][1] == pytest.approx(0.5, abs=1e-8)

@@ -579,6 +579,30 @@ def test_cli_exit_codes(tmp_path, capsys):
             main([*argv, "-i", str(src), "-L", "20", "-o", out])
         assert exc.value.code == 2
         assert "must be an integer >=" in capsys.readouterr().err
+    # the remaining exits before any output, each with its one-line message
+    noisy = tmp_path / "noisy.csv"
+    f = np.cos(np.arange(60) / 1.6) + 0.1 * np.random.default_rng(0).standard_normal(60)
+    noisy.write_text("\n".join(repr(float(v)) for v in f) + "\n")
+    not_json = tmp_path / "not.json"
+    not_json.write_text('{"signal": ')
+    no_output = tmp_path / "no-output.json"
+    no_output.write_text(json.dumps({"signal": {"kind": "damped_cos_wn", "n": 60},
+                                     "windows": [20], "reps": 2}))
+    for argv, code, message in (
+        (["decompose", "-o", out], 2, "--input is required"),
+        (["simulate", "--config", str(not_json), "-o", out], 2, "invalid JSON"),
+        (["simulate", "--config", str(no_output)], 2, "needs an output base path"),
+        (["reconstruct", "-i", str(src), "-L", "20", "--group", "3-1", "-o", out], 2,
+         "empty group range"),
+        # r = L spans the whole space: basis_matrix's ValueError, not a domain error
+        (["estimate", "-i", str(noisy), "-L", "5", "-r", "5", "--method", "esprit-ls",
+          "-o", out], 3, "invalid value"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cos.csv", "nan.csv", "no-output.json", "noisy.csv", "not.json"]
 
 
 def test_cli_verbose_window_default(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import multiprocessing
 import os
 import signal
@@ -15,7 +16,7 @@ import pytest
 import ssalab as sl
 import ssalab.core as core
 import ssalab.simlab as simlab
-from ssalab.errors import InvalidSpec, OutOfDomain, TlsDegenerate
+from ssalab.errors import InvalidSpec, OutOfDomain, TlsDegenerate, VerticalSubspace
 from ssalab.simlab import EXACT_SEPARABILITY_RMSE, pool_size
 
 
@@ -354,6 +355,73 @@ def test_forecast_split_lrf_error_independent_of_rec_window():
     assert a.rmse_lrf_only == pytest.approx(b.rmse_lrf_only, rel=1e-12)
 
 
+# -- failed replications -----------------------------------------------------------
+
+
+def test_surface_counts_replications_that_all_fail(monkeypatch):
+    # at b = 1e6 the exponential's basis vector is the last axis to within
+    # 1e-6, so no min-norm recurrence exists at either window
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    spec = sl.SignalSpec("exp_trend", 20, b=1e6, sigma=0.1)
+    surf = sl.mc_error_surface(spec, [3, 5], 4, "forecast-1-step", threads=1)
+    assert surf.failures.tolist() == [4, 4]
+    assert np.isnan(surf.rmse).all() and np.isnan(surf.msd).all()
+    pooled = sl.mc_error_surface(spec, [3, 5], 4, "forecast-1-step", threads=2)
+    assert _as_bytes(pooled) == _as_bytes(surf)
+
+
+def _fail_min_norm_lrf(monkeypatch, calls):
+    """Make simlab's min_norm_lrf raise VerticalSubspace on the given calls
+    (numbered from 0 in call order) and pass the others through."""
+    real, count = simlab.min_norm_lrf, itertools.count()
+
+    def min_norm_lrf(B):
+        if next(count) in calls:
+            raise VerticalSubspace("failed on purpose")
+        return real(B)
+
+    monkeypatch.setattr(simlab, "min_norm_lrf", min_norm_lrf)
+
+
+def _replicate_rows(monkeypatch) -> list:
+    """The (errors, failed) rows of every _replicate call from here on."""
+    real, rows = simlab._replicate, []
+
+    def replicate(*args):
+        rows.append(real(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(simlab, "_replicate", replicate)
+    return rows
+
+
+def test_surface_averages_only_the_replications_that_survive(monkeypatch):
+    rows = _replicate_rows(monkeypatch)
+    sl.mc_error_surface(WN, [40, 50], 4, "forecast-1-step", master_seed=3, threads=1)
+    errors = rows[0][0]
+    # one call per replication and window, windows innermost: call 1 is
+    # replication 0 at L = 50, call 4 replication 2 at L = 40
+    _fail_min_norm_lrf(monkeypatch, {1, 4})
+    surf = sl.mc_error_surface(WN, [40, 50], 4, "forecast-1-step", master_seed=3, threads=1)
+    assert surf.failures.tolist() == [1, 1]
+    for j, survivors in enumerate(([0, 1, 3], [1, 2, 3])):
+        ok = errors[survivors, j]
+        assert surf.msd[j] == np.mean(ok)
+        assert surf.rmse[j] == np.sqrt(np.mean(ok**2))
+
+
+def test_forecast_split_averages_only_the_replications_that_survive(monkeypatch):
+    rows = _replicate_rows(monkeypatch)
+    sl.forecast_error_split(WN, 40, 50, 4, master_seed=3, threads=1)
+    errors = rows[0][0]
+    # call 0 computes the exact recurrence, call i + 1 replication i's estimate
+    _fail_min_norm_lrf(monkeypatch, {2, 3})
+    split = sl.forecast_error_split(WN, 40, 50, 4, master_seed=3, threads=1)
+    assert split.failures == 2
+    rmse = np.sqrt(np.mean(errors[[0, 3]] ** 2, axis=0))
+    assert [split.rmse_total, split.rmse_lrf_only, split.rmse_rec_only] == rmse.tolist()
+
+
 # -- red-noise bound ---------------------------------------------------------------
 
 
@@ -509,7 +577,8 @@ def _die_in_worker(parent, triples, row, failed_row):
 
 
 @pooled
-def test_worker_error_reaches_caller_with_its_type():
+def test_worker_error_reaches_caller_with_its_type(monkeypatch):
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
     evaluate = functools.partial(_raise_in_worker, os.getpid())
     with pytest.raises(TlsDegenerate, match="raised in a worker"):
         simlab._replicate(WN, "raise", 0, 4, 2, [(40, 2)], evaluate, 1)
@@ -519,7 +588,8 @@ def test_worker_error_reaches_caller_with_its_type():
 
 
 @pooled
-def test_killed_worker_breaks_the_call_and_the_next_call_rebuilds_the_pool():
+def test_killed_worker_breaks_the_call_and_the_next_call_rebuilds_the_pool(monkeypatch):
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
     evaluate = functools.partial(_die_in_worker, os.getpid())
     with pytest.raises(BrokenProcessPool):
         simlab._replicate(WN, "die", 0, 4, 2, [(40, 2)], evaluate, 1)
@@ -637,14 +707,15 @@ print(rep.rmse1.hex(), rep.rmse2.hex(), rep.delta.hex())
 """
 
 _CONFIG_PROBE = """
-import json, sys
+import dataclasses, json, sys
 sys.path.insert(0, {src!r})
 import ssalab as sl
 with open({config!r}) as fh:
     config = sl.ExperimentConfig.from_dict(json.load(fh))
-for threads in (1, None):
-    surf = sl.run_experiment(config, threads=threads)
-    print(*(x.hex() for x in [*surf.rmse, *surf.msd]))
+for seed in (config.seed, 1, 2, 3):
+    for threads in (1, None):
+        surf = sl.run_experiment(dataclasses.replace(config, seed=seed), threads=threads)
+        print(*(x.hex() for x in [*surf.rmse, *surf.msd]))
 """
 
 
@@ -671,12 +742,14 @@ def test_narrow_red_report_does_not_depend_on_blas_threads():
 def test_config_surface_does_not_depend_on_blas_threads(name):
     # two_cos_table runs the dense-product Gram route at L = 40 and 100 and the
     # block route at L = 200; projector_white_noise runs the Gram route at
-    # N = 100; each interpreter prints one line at threads=1, one at the pool
+    # N = 100; each interpreter prints, for the config's seed and then seeds
+    # 1, 2 and 3, one line at threads=1 and one at the pool (one seed alone
+    # can match by chance when BLAS threads the serial run)
     config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / f"{name}.json"
-    lines = [line for out in _fresh_outputs(_CONFIG_PROBE, config=str(config))
-             for line in out.splitlines()]
-    assert len(lines) == 4 and lines[0]
-    assert lines == [lines[0]] * 4
+    outs = [out.splitlines() for out in _fresh_outputs(_CONFIG_PROBE, config=str(config))]
+    assert len(outs[0]) == 8 and outs[1] == outs[0]
+    assert outs[0][0::2] == outs[0][1::2]
+    assert len(set(outs[0])) == 4 and all(outs[0])
 
 
 # -- experiment configs -----------------------------------------------------------
