@@ -237,7 +237,7 @@ def cmd_simulate(args) -> None:
 def _int_at_least(lo: int):
     """argparse `type=` for an integer flag that must be >= lo, so a smaller
     value exits 2 at parse time. Upper limits that depend on the data (a rank
-    of at least L) stay domain errors."""
+    of at least the default window) stay domain errors."""
 
     def integer(text: str) -> int:
         value = int(text)
@@ -323,6 +323,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "input_required", False) and not args.input:
         print("ssalab: error: --input is required for this command", file=sys.stderr)
+        return 2
+    # forecast's rank bounds only its recurrence window; a window below 2 is a domain error
+    flag, window = "--lrf-window", getattr(args, "lrf_window", None)
+    if window is None:
+        flag, window = "--window", getattr(args, "window", None)
+    rank = getattr(args, "rank", None)
+    if rank is not None and window is not None and rank >= window >= 2:
+        print(f"ssalab: error: --rank must be below {flag} ({window}), got {rank}", file=sys.stderr)
         return 2
     try:
         args.func(args)

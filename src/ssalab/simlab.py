@@ -7,24 +7,31 @@ experiment_id, i), draws the series with gen_series, takes
 leading_triples(observed, L, r) once per declared (L, r) and passes them to
 the experiment's evaluate(triples, row, failed_row), a module-level function
 bound with functools.partial, which fills row i only; so results are
-identical for any worker count. A run's worker count is min(cpu count,
-SSA_LAB_THREADS, reps) unless a call asks for fewer. Above one worker, on
-Linux, the replications are cut into one contiguous chunk per worker and run
-by a persistent pool of forked worker processes, each with numpy's OpenBLAS at
-one thread. The pool is built on the first pooled run with min(cpu count,
+identical for any worker count. `_replicate` runs a sequence of experiments
+in one round: convergence_ratio's two lengths wait on the pool once. A run's
+worker count is min(cpu count, SSA_LAB_THREADS, reps) unless a call asks for
+fewer. Above one worker, on Linux, the replications are cut into one
+contiguous chunk per worker, which runs its index range of each experiment
+in turn, on a persistent pool of forked worker processes, each with numpy's
+OpenBLAS at one thread. A chunk carries keys, not arrays: a truth pickles as
+its cached `_make_truth` arguments. Both steps cut a fixed cost per call, so
+they pay on short calls that repeat a cell (mc-narrow-red, 20 replications a
+call, 2 vCPUs: 2670 -> 4208 evaluations/s), not on 500-replication calls on
+new cells. The pool is built on the first pooled run with min(cpu count,
 SSA_LAB_THREADS) workers, kept at that size, built anew after a worker dies,
 and shut down at interpreter exit; its workers see the module state of the
 moment it was built. A serial run (one worker or another platform) holds
-OpenBLAS at one thread in the calling process and restores the count after; where no
-OpenBLAS setter is found it leaves BLAS alone. `_make_truth` holds every
-check of rank, window and eigentriple count, `_cells` runs it for a surface
-(and for a config at parse time) and `_replicate` checks reps, the master
-seed and the worker count first, so bad input raises InvalidSpec before any
-replication runs. Convergence reports and forecast splits hold only computed
-numbers, not the caller's arguments. A functional is named by one of the six
-FUNCTIONALS strings, and a simulate config is a `signal` object, which
-becomes the SignalSpec and so fixes the residual, plus top-level windows,
-reps, functional, eigentriples, seed and output; any other key is InvalidSpec.
+OpenBLAS at one thread in the calling process and restores the count after;
+where no OpenBLAS setter is found it leaves BLAS alone. `_make_truth` holds
+every check of rank, window and eigentriple count, `_cells` runs it for a
+surface (and for a config at parse time) and `_replicate` checks reps, the
+master seed and the worker count first, so bad input raises InvalidSpec
+before any replication runs. Convergence reports and forecast splits hold
+only computed numbers, not the caller's arguments. A functional is named by
+one of the six FUNCTIONALS strings, and a simulate config is a `signal`
+object, which becomes the SignalSpec and so fixes the residual, plus
+top-level windows, reps, functional, eigentriples, seed and output; any other
+key is InvalidSpec.
 """
 
 from __future__ import annotations
@@ -177,18 +184,22 @@ def _one_blas_thread():
                 set_(_blas_saved)
 
 
-def _run_reps(spec, exp_id, master_seed, shapes, evaluate, width, lo, hi):
-    """Run replications lo..hi-1; return their (errors, failed) rows, each of
-    shape (hi - lo, width).
+def _run_reps(master_seed, experiments, lo, hi):
+    """Run replications lo..hi-1 of each experiment in turn; return one
+    (errors, failed) pair per experiment, each of shape (hi - lo, width).
 
-    Replication i calls evaluate(triples, errors[i - lo], failed[i - lo]) with
+    An experiment is (spec, experiment id, shapes, evaluate, width); its
+    replication i calls evaluate(triples, errors[i - lo], failed[i - lo]) with
     one leading_triples result per (L, r) in `shapes`; errors start as NaN.
     """
-    errors = np.full((hi - lo, width), np.nan)
-    failed = np.zeros((hi - lo, width), dtype=bool)
-    for row, i in enumerate(range(lo, hi)):
-        evaluate(_rep_triples(spec, exp_id, master_seed, shapes, i), errors[row], failed[row])
-    return errors, failed
+    out = []
+    for spec, exp_id, shapes, evaluate, width in experiments:
+        errors = np.full((hi - lo, width), np.nan)
+        failed = np.zeros((hi - lo, width), dtype=bool)
+        for row, i in enumerate(range(lo, hi)):
+            evaluate(_rep_triples(spec, exp_id, master_seed, shapes, i), errors[row], failed[row])
+        out.append((errors, failed))
+    return out
 
 
 def _rep_triples(spec, exp_id, master_seed, shapes, i):
@@ -243,15 +254,16 @@ def _shutdown_pool(executor=None) -> None:
     executor.shutdown()
 
 
-def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width):
-    """Run `reps` replications; return (errors, failed), each of shape (reps, width).
+def _replicate(experiments, master_seed, reps, threads):
+    """Run `reps` replications of each experiment in one round; return one
+    (errors, failed) pair per experiment, each of shape (reps, width).
 
     See _run_reps for the rows; a pooled run stacks its chunks' rows by index.
     """
     master_seed = integer("master_seed", master_seed, InvalidSpec)
     reps = integer("reps", reps, InvalidSpec, minimum=1)
     chunks = min(pool_size(threads), os.cpu_count() or 1, reps)
-    run = partial(_run_reps, spec, exp_id, master_seed, shapes, evaluate, width)
+    run = partial(_run_reps, master_seed, experiments)
     if chunks == 1 or not _FORK:
         with _one_blas_thread():
             return run(0, reps)
@@ -272,7 +284,7 @@ def _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, width
     except BrokenProcessPool:
         _shutdown_pool(executor)  # a worker died in this run; the next run builds a new pool
         raise
-    return np.concatenate([e for e, _ in rows]), np.concatenate([f for _, f in rows])
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*rows)]
 
 
 def canonical_functional(tag: str) -> str:
@@ -286,8 +298,10 @@ def canonical_functional(tag: str) -> str:
 
 @dataclass(frozen=True)
 class _Truth:
-    """Per-(spec, L) context: the noise-free quantities errors are measured against."""
+    """Per-(spec, L) context: the noise-free quantities errors are measured
+    against; pickles as the `_make_truth` arguments in `key`."""
 
+    key: tuple
     L: int
     rank: int
     rec_rank: int
@@ -297,6 +311,9 @@ class _Truth:
     freqs: Optional[np.ndarray]
     log_b: float
 
+    def __reduce__(self):
+        return _make_truth, self.key
+
 
 def _finite_rank(spec: SignalSpec) -> int:
     r = exact_rank(spec)
@@ -305,13 +322,18 @@ def _finite_rank(spec: SignalSpec) -> int:
     return r
 
 
+@lru_cache(maxsize=32, typed=True)
 def _make_truth(
     spec: SignalSpec, L: int, rec_rank: Optional[int] = None, functional: Optional[str] = None
 ) -> _Truth:
     """The truth at window L; raises InvalidSpec unless the kind has a finite
     rank r, 2 <= L <= N-1, r < L, K = N-L+1 >= r and rec_rank is in 1..min(L, K),
     and below L for forecast-1-step, whose min-norm recurrence needs rec_rank < L.
+    Cached, so read-only: a truth holds 8 (N + 1 + r L) bytes, and the caller
+    and each worker keep up to 32 after a call returns (13 MB at N = 25596,
+    L = 12793, r = 2).
     """
+    key = (spec, L, rec_rank, functional)
     r = _finite_rank(spec)
     K = spec.n - L + 1
     if not (2 <= L <= spec.n - 1 and r < L and r <= K):
@@ -324,14 +346,17 @@ def _make_truth(
             f" got {rec_rank}"
         )
     s_ext = signal_values(spec, np.arange(spec.n + 1))
+    freqs = true_frequencies(spec)
+    s_ext.flags.writeable = freqs.flags.writeable = False
     return _Truth(
+        key=key,
         L=L,
         rank=r,
         rec_rank=rec_rank,
         signal=s_ext[:-1],
         next_value=float(s_ext[-1]),
         exact_u=exact_basis(spec, L),
-        freqs=true_frequencies(spec),
+        freqs=freqs,
         log_b=float(np.log(spec.b)),
     )
 
@@ -387,6 +412,26 @@ def _surface_row(tag, truths, triples, row, failed_row) -> None:
             failed_row[j] = True
 
 
+def _surface_experiment(spec, exp_id, tag, truths) -> tuple:
+    """The `_replicate` experiment of a surface: one column per truth's window."""
+    shapes = [(t.L, t.rec_rank if tag in _REC_FUNCTIONALS else t.rank) for t in truths]
+    return spec, exp_id, shapes, partial(_surface_row, tag, truths), len(truths)
+
+
+def _window_stats(errors, failed):
+    """(MSD, RMSE, failure count) of each column over its surviving replications."""
+    msd = np.empty(errors.shape[1])
+    rmse = np.empty(errors.shape[1])
+    for j in range(errors.shape[1]):
+        ok = errors[~failed[:, j], j]
+        if ok.size == 0:
+            msd[j] = rmse[j] = np.nan
+        else:
+            msd[j] = float(np.mean(ok))
+            rmse[j] = float(np.sqrt(np.mean(ok**2)))
+    return msd, rmse, failed.sum(axis=0)
+
+
 @dataclass(frozen=True)
 class ErrorSurface:
     """MSD and RMSE of one error functional over a list of window lengths.
@@ -427,28 +472,15 @@ def mc_error_surface(
     """
     tag, windows, truths = _cells(spec, windows, functional, eigentriples)
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
-    shapes = [(t.L, t.rec_rank if tag in _REC_FUNCTIONALS else t.rank) for t in truths]
-
-    evaluate = partial(_surface_row, tag, truths)
-    errors, failed = _replicate(
-        spec, exp_id, master_seed, reps, threads, shapes, evaluate, len(windows)
-    )
-    msd = np.empty(len(windows))
-    rmse = np.empty(len(windows))
-    for j in range(len(windows)):
-        ok = errors[~failed[:, j], j]
-        if ok.size == 0:
-            msd[j] = rmse[j] = np.nan
-        else:
-            msd[j] = float(np.mean(ok))
-            rmse[j] = float(np.sqrt(np.mean(ok**2)))
+    experiment = _surface_experiment(spec, exp_id, tag, truths)
+    msd, rmse, failures = _window_stats(*_replicate([experiment], master_seed, reps, threads)[0])
     return ErrorSurface(
         spec=spec,
         functional=tag,
         windows=windows,
         msd=msd,
         rmse=rmse,
-        failures=failed.sum(axis=0),
+        failures=failures,
         reps=reps,
         master_seed=master_seed,
         experiment_id=exp_id,
@@ -480,9 +512,8 @@ def mc_point_errors(
         raise InvalidSpec(f"points must be indices in 0..N-1 = 0..{spec.n - 1}, got {points!r}")
     exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:point:L={L}"
 
-    evaluate = partial(_point_row, truth, pts)
-    return _replicate(spec, exp_id, master_seed, reps, threads, [(L, truth.rank)], evaluate,
-                      pts.size)[0]
+    experiment = (spec, exp_id, [(L, truth.rank)], partial(_point_row, truth, pts), pts.size)
+    return _replicate([experiment], master_seed, reps, threads)[0][0]
 
 
 # -- convergence ratios -------------------------------------------------------
@@ -532,20 +563,17 @@ def convergence_ratio(
     Pooled workers (`threads` > 1) see the module state of the moment the pool started."""
     tag = canonical_functional(functional)
     rank = _finite_rank(spec)
-    rows = []
+    windows, experiments = [], []
     for n in (n1, 4 * n1):
-        L = window_for_policy(policy, n, rank)
-        surf = mc_error_surface(
-            replace(spec, n=n),
-            [L],
-            reps,
-            tag,
-            master_seed=master_seed,
-            experiment_id=f"{spec.kind}:{tag}:{policy}:N={n}",
-            threads=threads,
-        )
-        rows.append((L, float(surf.rmse[0]), int(surf.failures[0])))
-    (L1, rmse1, fail1), (L2, rmse2, fail2) = rows
+        spec_n = replace(spec, n=n)
+        _, (L,), truths = _cells(spec_n, [window_for_policy(policy, n, rank)], tag, None)
+        windows.append(L)
+        exp_id = f"{spec.kind}:{tag}:{policy}:N={n}"
+        experiments.append(_surface_experiment(spec_n, exp_id, tag, truths))
+    stats = [_window_stats(*rows) for rows in _replicate(experiments, master_seed, reps, threads)]
+    L1, L2 = windows
+    rmse1, rmse2 = (float(rmse[0]) for _, rmse, _ in stats)
+    fail1, fail2 = (int(failures[0]) for _, _, failures in stats)
     separable = rmse1 < EXACT_SEPARABILITY_RMSE or rmse2 < EXACT_SEPARABILITY_RMSE
     return ConvergenceReport(
         window1=L1,
@@ -658,12 +686,16 @@ def forecast_error_split(
     Pooled workers (`threads` > 1) see the module state of the moment the pool started."""
     truth = _make_truth(spec, lrf_window)
     _make_truth(spec, rec_window)  # checks the reconstruction window the same way
-    exact_lrf = min_norm_lrf(truth.exact_u)
+    try:
+        exact_lrf = min_norm_lrf(truth.exact_u)
+    except VerticalSubspace as exc:
+        raise InvalidSpec(f"no exact recurrence: the exact subspace at L={lrf_window} is"
+                          f" vertical ({exc})") from exc
     exp_id = f"{spec.kind}:forecast-split:Llrf={lrf_window}"
 
     shapes = [(lrf_window, truth.rank), (rec_window, truth.rank)]
-    evaluate = partial(_split_row, truth, exact_lrf)
-    errors, failed = _replicate(spec, exp_id, master_seed, reps, threads, shapes, evaluate, 3)
+    experiment = (spec, exp_id, shapes, partial(_split_row, truth, exact_lrf), 3)
+    [(errors, failed)] = _replicate([experiment], master_seed, reps, threads)
     failed = failed[:, 0]
     ok = errors[~failed]  # axis-0 sums run in replication order, not pairwise
     rmse = np.sqrt(np.mean(ok**2, axis=0)) if ok.size else np.full(3, np.nan)

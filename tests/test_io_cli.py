@@ -594,15 +594,25 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["simulate", "--config", str(no_output)], 2, "needs an output base path"),
         (["reconstruct", "-i", str(src), "-L", "20", "--group", "3-1", "-o", out], 2,
          "empty group range"),
-        # r = L spans the whole space: basis_matrix's ValueError, not a domain error
+        # r >= L leaves no noise complement: rejected before the input is read
         (["estimate", "-i", str(noisy), "-L", "5", "-r", "5", "--method", "esprit-ls",
-          "-o", out], 3, "invalid value"),
+          "-o", out], 2, "--rank must be below --window (5), got 5"),
+        (["pseudospectrum", "-i", str(noisy), "-L", "5", "-r", "6", "--method", "music",
+          "-o", out], 2, "--rank must be below --window (5), got 6"),
+        (["forecast", "-i", str(noisy), "-L", "5", "-r", "5", "-o", out], 2,
+         "--rank must be below --window (5), got 5"),
+        # forecast's recurrence runs at --lrf-window, its reconstruction at --window
+        (["forecast", "-i", str(noisy), "-L", "20", "--lrf-window", "5", "-r", "5",
+          "-o", out], 2, "--rank must be below --lrf-window (5), got 5"),
     ):
         capsys.readouterr()
         assert main(argv) == code
         assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cos.csv", "nan.csv", "no-output.json", "noisy.csv", "not.json"]
+    # a rank equal to --window reconstructs all of it: fine under a longer --lrf-window
+    assert main(["forecast", "-i", str(noisy), "-L", "5", "--lrf-window", "20", "-r", "5",
+                 "-o", out]) == 0
 
 
 def test_cli_verbose_window_default(tmp_path, capsys):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -187,12 +188,14 @@ _THREADED_RUNS = {
         lambda: sl.mc_point_errors(WN, 40, [10], 2, master_seed=True),
         lambda: sl.convergence_ratio(WN, 100, "projector", "20", 2, master_seed=1.5),
         lambda: sl.forecast_error_split(WN, 40, 50, 2, master_seed=np.float64(3.0)),
+        # at b = 1e6 no exact min-norm recurrence exists at L = 3
+        lambda: sl.forecast_error_split(sl.SignalSpec("exp_trend", 20, b=1e6), 3, 5, 4),
     ]
     + [lambda t=t, run=run: run(t) for run in _THREADED_RUNS.values() for t in _BAD_THREADS],
     ids=["point-negative", "point-N", "points-reps-0", "point-fraction", "surface-reps-float",
          "split-reps-0", "forecast-eigentriples-L", "surface-window-float",
          "surface-eigentriples-float", "surface-seed-text", "points-seed-bool",
-         "convergence-seed-float", "split-seed-numpy-float"]
+         "convergence-seed-float", "split-seed-numpy-float", "split-vertical-exact-subspace"]
     + [f"{name}-threads-{t!r}" for name in _THREADED_RUNS for t in _BAD_THREADS],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
@@ -368,6 +371,9 @@ def test_surface_counts_replications_that_all_fail(monkeypatch):
     assert np.isnan(surf.rmse).all() and np.isnan(surf.msd).all()
     pooled = sl.mc_error_surface(spec, [3, 5], 4, "forecast-1-step", threads=2)
     assert _as_bytes(pooled) == _as_bytes(surf)
+    # the split measures against the exact recurrence, which the cell lacks
+    with pytest.raises(InvalidSpec, match="exact subspace at L=3 is vertical"):
+        sl.forecast_error_split(spec, 3, 5, 4)
 
 
 def _fail_min_norm_lrf(monkeypatch, calls):
@@ -384,12 +390,14 @@ def _fail_min_norm_lrf(monkeypatch, calls):
 
 
 def _replicate_rows(monkeypatch) -> list:
-    """The (errors, failed) rows of every _replicate call from here on."""
+    """The (errors, failed) rows of each experiment of every _replicate call
+    from here on."""
     real, rows = simlab._replicate, []
 
     def replicate(*args):
-        rows.append(real(*args))
-        return rows[-1]
+        result = real(*args)
+        rows.extend(result)
+        return result
 
     monkeypatch.setattr(simlab, "_replicate", replicate)
     return rows
@@ -465,13 +473,14 @@ def test_replication_runner_restores_blas_thread_count(monkeypatch):
     seen = []
 
     def run(reps, threads, evaluate=lambda triples, row, failed_row: seen.append(get())):
-        simlab._replicate(WN, "blas", 0, reps, threads, [(40, 2)], evaluate, 1)
+        simlab._replicate([(WN, "blas", [(40, 2)], evaluate, 1)], 0, reps, threads)
 
     try:
         before = get()
         # the pool's workers (forked processes) run at one BLAS thread; the
         # parent's count does not move
-        errors, _ = simlab._replicate(WN, "blas", 0, 4, 2, [(40, 2)], _worker_blas_threads, 2)
+        experiment = (WN, "blas", [(40, 2)], _worker_blas_threads, 2)
+        [(errors, _)] = simlab._replicate([experiment], 0, 4, 2)
         assert errors[:, 0].tolist() == [1.0] * 4
         if POOLED:
             assert os.getpid() not in errors[:, 1]
@@ -549,8 +558,10 @@ pooled = pytest.mark.skipif(not POOLED, reason="needs Linux (fork) and two or mo
         lambda t: sl.mc_error_surface(WN, [40, 50], 7, "reconstruction", master_seed=9, threads=t),
         lambda t: sl.mc_point_errors(WN, 40, [0, 50, 99], 7, master_seed=9, threads=t),
         lambda t: sl.forecast_error_split(WN, 40, 50, 7, master_seed=9, threads=t),
+        lambda t: sl.convergence_ratio(WN, 100, "reconstruction", "half", 7, master_seed=9,
+                                     threads=t),
     ],
-    ids=["mc_error_surface", "mc_point_errors", "forecast_error_split"],
+    ids=["mc_error_surface", "mc_point_errors", "forecast_error_split", "convergence_ratio"],
 )
 def test_chunk_edges_do_not_change_results(monkeypatch, run):
     # 7 replications cut into 2 or 3 contiguous chunks of unequal size, as on
@@ -560,6 +571,48 @@ def test_chunk_edges_do_not_change_results(monkeypatch, run):
     serial = _as_bytes(run(1))
     assert _as_bytes(run(2)) == serial
     assert _as_bytes(run(3)) == serial
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_two_experiments_in_one_round_equal_two_rounds(monkeypatch, threads):
+    # each chunk runs its replications of one experiment, then of the next
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    longer = sl.SignalSpec("damped_cos_wn", n=150, b=1.0, sigma=0.1)
+    truths = [simlab._make_truth(WN, L, None, "projector") for L in (40, 50)]
+    points = functools.partial(simlab._point_row, simlab._make_truth(longer, 60), [0, 75, 149])
+    experiments = [simlab._surface_experiment(WN, "surface", "projector", truths),
+                   (longer, "points", [(60, 2)], points, 3)]
+    together = simlab._replicate(experiments, 4, 7, threads)
+    apart = [simlab._replicate([e], 4, 7, threads)[0] for e in experiments]
+    assert [a.shape for a, _ in together] == [(7, 2), (7, 3)]
+    assert [[a.tobytes() for a in rows] for rows in together] \
+        == [[a.tobytes() for a in rows] for rows in apart]
+
+
+def test_a_chunk_carries_the_truth_by_key(monkeypatch):
+    # the truth pickles as its _make_truth arguments, not its N-length arrays
+    experiments, real = [], simlab._replicate
+
+    def replicate(experiment_list, *args):
+        experiments.extend(experiment_list)
+        return real(experiment_list, *args)
+
+    monkeypatch.setattr(simlab, "_replicate", replicate)
+    sl.mc_error_surface(sl.SignalSpec("damped_cos_rn", 25596), [20], 1, "projector", threads=1)
+    [(_, _, _, evaluate, _)] = experiments
+    shipped = pickle.dumps(evaluate)
+    assert len(shipped) < 2048
+    # unpickled in the process that built it, the truth is the cached one
+    assert pickle.loads(shipped).args[1][0] is evaluate.args[1][0]
+
+
+def test_a_cached_truth_is_read_only():
+    truth = simlab._make_truth(WN, 40)
+    assert simlab._make_truth(WN, 40) is truth
+    for array in (truth.signal, truth.exact_u, truth.freqs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def _raise_in_worker(parent, triples, row, failed_row):
@@ -581,7 +634,7 @@ def test_worker_error_reaches_caller_with_its_type(monkeypatch):
     monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
     evaluate = functools.partial(_raise_in_worker, os.getpid())
     with pytest.raises(TlsDegenerate, match="raised in a worker"):
-        simlab._replicate(WN, "raise", 0, 4, 2, [(40, 2)], evaluate, 1)
+        simlab._replicate([(WN, "raise", [(40, 2)], evaluate, 1)], 0, 4, 2)
     # the pool survives an error in a replication
     serial = sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=2, threads=1)
     assert sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=2, threads=2).tobytes() == serial.tobytes()
@@ -592,7 +645,7 @@ def test_killed_worker_breaks_the_call_and_the_next_call_rebuilds_the_pool(monke
     monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
     evaluate = functools.partial(_die_in_worker, os.getpid())
     with pytest.raises(BrokenProcessPool):
-        simlab._replicate(WN, "die", 0, 4, 2, [(40, 2)], evaluate, 1)
+        simlab._replicate([(WN, "die", [(40, 2)], evaluate, 1)], 0, 4, 2)
     assert simlab._pool is None
     serial = sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=3, threads=1)
     assert sl.mc_point_errors(WN, 40, [0, 99], 4, master_seed=3, threads=2).tobytes() == serial.tobytes()
@@ -639,7 +692,7 @@ def test_concurrent_callers_at_different_worker_counts(monkeypatch):
 @pooled
 def test_worker_killed_between_runs_does_not_fail_the_next_run(monkeypatch):
     monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
-    pids, _ = simlab._replicate(WN, "pids", 0, 4, 2, [(40, 2)], _worker_pid, 1)
+    [(pids, _)] = simlab._replicate([(WN, "pids", [(40, 2)], _worker_pid, 1)], 0, 4, 2)
     executor = simlab._pool
     os.kill(int(pids[0, 0]), signal.SIGKILL)
     # wait until the pool has seen its worker die, as it has long before the
