@@ -14,19 +14,19 @@ fewer. Above one worker, on Linux, the replications are cut into one
 contiguous chunk per worker, which runs its index range of each experiment
 in turn, on a persistent pool of forked worker processes, each with numpy's
 OpenBLAS at one thread. A chunk carries keys, not arrays: a truth pickles as
-its cached `_make_truth` arguments. Both steps cut a fixed cost per call, so
-they pay on short calls that repeat a cell (mc-narrow-red, 20 replications a
-call, 2 vCPUs: 2670 -> 4208 evaluations/s), not on 500-replication calls on
-new cells. The pool is built on the first pooled run with min(cpu count,
-SSA_LAB_THREADS) workers, kept at that size, built anew after a worker dies,
-and shut down at interpreter exit; its workers see the module state of the
-moment it was built. A serial run (one worker or another platform) holds
-OpenBLAS at one thread in the calling process and restores the count after;
-where no OpenBLAS setter is found it leaves BLAS alone. `_make_truth` holds
-every check of rank, window and eigentriple count, `_cells` runs it for a
-surface (and for a config at parse time) and `_replicate` checks reps, the
-master seed and the worker count first, so bad input raises InvalidSpec
-before any replication runs. Convergence reports and forecast splits hold
+its cached `_make_truth` arguments, the cell (spec, L). Both steps cut a fixed
+cost per call, so they pay on short calls that repeat a cell, not on
+500-replication calls on new cells. The pool is built on the first pooled run
+with min(cpu count, SSA_LAB_THREADS) workers, kept at that size, built anew
+after a worker dies, and shut down at interpreter exit; its workers see the
+module state of the moment it was built. A serial run (one worker or another
+platform) holds OpenBLAS at one thread in the calling process and restores
+the count after; where no OpenBLAS setter is found it leaves BLAS alone.
+`_make_truth` checks a cell's rank and window, so all functionals of a cell
+share one truth; `_cells` checks a surface's functional and eigentriple count
+(and a config's, at parse time); `_replicate` checks reps, the master seed
+and the worker count first; so bad input raises InvalidSpec before any
+replication runs. Convergence reports and forecast splits hold
 only computed numbers, not the caller's arguments. A functional is named by
 one of the six FUNCTIONALS strings, and a simulate config is a `signal`
 object, which becomes the SignalSpec and so fixes the residual, plus
@@ -287,24 +287,17 @@ def _replicate(experiments, master_seed, reps, threads):
     return [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*rows)]
 
 
-def canonical_functional(tag: str) -> str:
-    if tag not in FUNCTIONALS:
-        raise InvalidSpec(f"unknown functional {tag!r}; expected one of {FUNCTIONALS}")
-    return tag
-
-
 # -- single-replication error functionals ------------------------------------
 
 
 @dataclass(frozen=True)
 class _Truth:
     """Per-(spec, L) context: the noise-free quantities errors are measured
-    against; pickles as the `_make_truth` arguments in `key`."""
+    against; pickles as its `_make_truth` arguments (spec, L)."""
 
-    key: tuple
+    spec: SignalSpec
     L: int
     rank: int
-    rec_rank: int
     signal: np.ndarray
     next_value: float
     exact_u: np.ndarray
@@ -312,7 +305,7 @@ class _Truth:
     log_b: float
 
     def __reduce__(self):
-        return _make_truth, self.key
+        return _make_truth, (self.spec, self.L)
 
 
 def _finite_rank(spec: SignalSpec) -> int:
@@ -323,36 +316,24 @@ def _finite_rank(spec: SignalSpec) -> int:
 
 
 @lru_cache(maxsize=32, typed=True)
-def _make_truth(
-    spec: SignalSpec, L: int, rec_rank: Optional[int] = None, functional: Optional[str] = None
-) -> _Truth:
-    """The truth at window L; raises InvalidSpec unless the kind has a finite
-    rank r, 2 <= L <= N-1, r < L, K = N-L+1 >= r and rec_rank is in 1..min(L, K),
-    and below L for forecast-1-step, whose min-norm recurrence needs rec_rank < L.
-    Cached, so read-only: a truth holds 8 (N + 1 + r L) bytes, and the caller
-    and each worker keep up to 32 after a call returns (13 MB at N = 25596,
-    L = 12793, r = 2).
+def _make_truth(spec: SignalSpec, L: int) -> _Truth:
+    """The truth of the cell (spec, L), for every functional; raises InvalidSpec
+    unless the kind has a finite rank r, 2 <= L <= N-1, r < L and K = N-L+1 >= r
+    (`_cells` checks the functional and eigentriples). Cached, so read-only: a
+    truth holds 8 (N + 1 + r L) bytes, and the caller and each worker keep up
+    to 32 after a call returns (13 MB at N = 25596, L = 12793, r = 2).
     """
-    key = (spec, L, rec_rank, functional)
     r = _finite_rank(spec)
     K = spec.n - L + 1
     if not (2 <= L <= spec.n - 1 and r < L and r <= K):
         raise InvalidSpec(f"window {L} needs 2 <= L <= N-1, r < L, K >= r (N={spec.n}, r={r})")
-    rec_rank = r if rec_rank is None else integer("eigentriples", rec_rank, InvalidSpec)
-    top = min(L - 1 if functional == "forecast-1-step" else L, K)
-    if not 1 <= rec_rank <= top:
-        raise InvalidSpec(
-            f"eigentriples must lie in 1..{top} for {functional} at L={L}, K={K},"
-            f" got {rec_rank}"
-        )
     s_ext = signal_values(spec, np.arange(spec.n + 1))
     freqs = true_frequencies(spec)
     s_ext.flags.writeable = freqs.flags.writeable = False
     return _Truth(
-        key=key,
+        spec=spec,
         L=L,
         rank=r,
-        rec_rank=rec_rank,
         signal=s_ext[:-1],
         next_value=float(s_ext[-1]),
         exact_u=exact_basis(spec, L),
@@ -365,9 +346,10 @@ _REC_FUNCTIONALS = ("reconstruction", "reconstruction-last-10", "forecast-1-step
 
 
 def _functional_error(tag: str, t, truth: _Truth) -> float:
-    """Error of one replication's leading triples `t`: truth.rec_rank of them
-    for the reconstruction functionals, truth.rank for the others. `tag` is
-    one of FUNCTIONALS, checked by canonical_functional before any run."""
+    """Error of one replication's leading triples `t`, as many as `_cells`
+    keeps: the eigentriple count for the reconstruction functionals,
+    truth.rank for the others. `tag` is one of FUNCTIONALS, checked by
+    `_cells` before any run."""
     if tag == "projector":
         return subspace_distance(t.u, truth.exact_u)
     if tag in _REC_FUNCTIONALS:
@@ -395,13 +377,25 @@ def _functional_error(tag: str, t, truth: _Truth) -> float:
 
 
 def _cells(spec: SignalSpec, windows, functional: str, eigentriples: Optional[int]):
-    """(functional tag, windows as ints, one _Truth per window); InvalidSpec for
-    an unknown functional, no or a non-integer window, or a cell `_make_truth` rejects."""
-    tag = canonical_functional(functional)
+    """(windows as ints, one _Truth per window, the triples each replication
+    keeps); InvalidSpec for an unknown functional, no or a non-integer window,
+    a cell `_make_truth` rejects, or eigentriples outside 1..min(L, K), or not
+    below L for forecast-1-step, whose min-norm recurrence needs fewer."""
+    if functional not in FUNCTIONALS:
+        raise InvalidSpec(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
     windows = tuple(integer("window", L, InvalidSpec) for L in windows)
     if not windows:
         raise InvalidSpec("need at least one window length")
-    return tag, windows, [_make_truth(spec, L, eigentriples, tag) for L in windows]
+    truths = [_make_truth(spec, L) for L in windows]
+    if eigentriples is None:
+        return windows, truths, truths[0].rank
+    keep = integer("eigentriples", eigentriples, InvalidSpec)
+    for L in windows:
+        top = min(L - 1 if functional == "forecast-1-step" else L, spec.n - L + 1)
+        if not 1 <= keep <= top:
+            raise InvalidSpec(f"eigentriples must lie in 1..{top} for {functional} at L={L},"
+                              f" K={spec.n - L + 1}, got {keep}")
+    return windows, truths, keep if functional in _REC_FUNCTIONALS else truths[0].rank
 
 
 def _surface_row(tag, truths, triples, row, failed_row) -> None:
@@ -412,9 +406,10 @@ def _surface_row(tag, truths, triples, row, failed_row) -> None:
             failed_row[j] = True
 
 
-def _surface_experiment(spec, exp_id, tag, truths) -> tuple:
-    """The `_replicate` experiment of a surface: one column per truth's window."""
-    shapes = [(t.L, t.rec_rank if tag in _REC_FUNCTIONALS else t.rank) for t in truths]
+def _surface_experiment(spec, exp_id, tag, truths, keep) -> tuple:
+    """The `_replicate` experiment of a surface: one column per truth's window,
+    each from `keep` leading triples."""
+    shapes = [(t.L, keep) for t in truths]
     return spec, exp_id, shapes, partial(_surface_row, tag, truths), len(truths)
 
 
@@ -458,7 +453,6 @@ def mc_error_surface(
     reps: int,
     functional: str,
     master_seed: int = 0,
-    experiment_id: Optional[str] = None,
     threads: Optional[int] = None,
     eigentriples: Optional[int] = None,
 ) -> ErrorSurface:
@@ -470,13 +464,13 @@ def mc_error_surface(
     (default: the signal rank); parameter functionals always use the rank.
     Pooled workers (`threads` > 1) see the module state of the moment the pool started.
     """
-    tag, windows, truths = _cells(spec, windows, functional, eigentriples)
-    exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:{tag}"
-    experiment = _surface_experiment(spec, exp_id, tag, truths)
+    windows, truths, keep = _cells(spec, windows, functional, eigentriples)
+    exp_id = f"{spec.kind}:{functional}"
+    experiment = _surface_experiment(spec, exp_id, functional, truths, keep)
     msd, rmse, failures = _window_stats(*_replicate([experiment], master_seed, reps, threads)[0])
     return ErrorSurface(
         spec=spec,
-        functional=tag,
+        functional=functional,
         windows=windows,
         msd=msd,
         rmse=rmse,
@@ -561,15 +555,14 @@ def convergence_ratio(
 ) -> ConvergenceReport:
     """Run the same experiment at lengths n1 and 4 n1 and report the RMSE ratio.
     Pooled workers (`threads` > 1) see the module state of the moment the pool started."""
-    tag = canonical_functional(functional)
     rank = _finite_rank(spec)
     windows, experiments = [], []
     for n in (n1, 4 * n1):
         spec_n = replace(spec, n=n)
-        _, (L,), truths = _cells(spec_n, [window_for_policy(policy, n, rank)], tag, None)
+        (L,), truths, keep = _cells(spec_n, [window_for_policy(policy, n, rank)], functional, None)
         windows.append(L)
-        exp_id = f"{spec.kind}:{tag}:{policy}:N={n}"
-        experiments.append(_surface_experiment(spec_n, exp_id, tag, truths))
+        exp_id = f"{spec.kind}:{functional}:{policy}:N={n}"
+        experiments.append(_surface_experiment(spec_n, exp_id, functional, truths, keep))
     stats = [_window_stats(*rows) for rows in _replicate(experiments, master_seed, reps, threads)]
     L1, L2 = windows
     rmse1, rmse2 = (float(rmse[0]) for _, rmse, _ in stats)
@@ -717,7 +710,10 @@ def red_noise_projector_bound(spec: SignalSpec, L: int) -> float:
     matrix, Sigma the AR(1) autocovariance and U the exact signal basis. The
     norm is not pinned down by the derivation; this returns the spectral
     norm, so treat the value as an interpretation rather than a quotation.
+    The kind fixes the residual: InvalidSpec unless it is damped_cos_rn.
     """
+    if spec.kind != "damped_cos_rn":
+        raise InvalidSpec(f"kind {spec.kind!r} has no red-noise residual; need damped_cos_rn")
     Ur = _make_truth(spec, L).exact_u
     S = embed(signal_values(spec), L)
     K = S.shape[1]
@@ -776,8 +772,9 @@ class ExperimentConfig:
             spec = SignalSpec(**sig)
         except TypeError as exc:
             raise InvalidSpec(f"bad signal field value: {exc}") from exc
+        functional = doc.get("functional", "reconstruction")
         ets = doc.get("eigentriples")
-        functional, windows, _ = _cells(spec, windows, doc.get("functional", "reconstruction"), ets)
+        windows, _, _ = _cells(spec, windows, functional, ets)
         return ExperimentConfig(
             spec=spec,
             windows=windows,

@@ -6,6 +6,7 @@ from ssalab.errors import (
     EmptyNoiseBasis,
     FewerPeaksThanRequested,
     NonpositiveEigenvalue,
+    RankDeficientShift,
     TooFewRoots,
     VerticalSubspace,
     ZeroPole,
@@ -96,6 +97,14 @@ def test_esprit_lists_a_repeated_pole_again(esprit):
         assert poles.shape == (2,)
         assert poles[0] == poles[1], (L, poles)
         np.testing.assert_allclose(poles, [1.0, 1.0], atol=1e-6)
+
+
+def test_esprit_ls_rejects_a_rank_deficient_shift():
+    # e_L: the upper block (all rows but the last) is zero
+    basis = np.zeros((6, 1))
+    basis[-1, 0] = 1.0
+    with pytest.raises(RankDeficientShift, match="shift system rank 0 < r = 1"):
+        sl.esprit_ls(basis)
 
 
 # -- pole conversion ---------------------------------------------------------------

@@ -26,9 +26,10 @@ WN = sl.SignalSpec("damped_cos_wn", n=100, b=1.0, sigma=0.1)
 
 def test_hash64_stable_values():
     # frozen so seed derivations never drift between releases
-    assert sl.hash64(0) == sl.hash64(0)
+    assert sl.hash64(0) == 3220344897584144929
+    assert sl.hash64(1, "x", 2) == 17035480611081050454
     assert sl.hash64(1, "x", 2) != sl.hash64(1, "x", 3)
-    assert sl.derive_seed(5, "exp", 7) == sl.derive_seed(5, "exp", 7)
+    assert sl.derive_seed(5, "exp", 7) == 5875374068217070649
     with pytest.raises(TypeError):
         sl.hash64(1.5)
 
@@ -444,6 +445,14 @@ def test_red_noise_projector_bound():
     assert longer == pytest.approx(value, rel=0.05)
 
 
+@pytest.mark.parametrize("kind", ["damped_cos_wn", "damped_cos_const"])
+def test_red_noise_projector_bound_needs_a_red_residual(kind):
+    # the kind fixes the residual: white noise has no AR(1) term and a
+    # deterministic residual no covariance
+    with pytest.raises(InvalidSpec, match="no red-noise residual"):
+        sl.red_noise_projector_bound(sl.SignalSpec(kind, 100), 20)
+
+
 @pytest.mark.parametrize("n, L, b", [(200, 23, 1.0), (200, 23, 0.99), (399, 57, 0.995)])
 def test_red_noise_projector_bound_matches_dense_oracle(n, L, b):
     # off the period, the exact basis is not the singular vectors of S; the
@@ -579,9 +588,9 @@ def test_two_experiments_in_one_round_equal_two_rounds(monkeypatch, threads):
     monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     longer = sl.SignalSpec("damped_cos_wn", n=150, b=1.0, sigma=0.1)
-    truths = [simlab._make_truth(WN, L, None, "projector") for L in (40, 50)]
+    truths = [simlab._make_truth(WN, L) for L in (40, 50)]
     points = functools.partial(simlab._point_row, simlab._make_truth(longer, 60), [0, 75, 149])
-    experiments = [simlab._surface_experiment(WN, "surface", "projector", truths),
+    experiments = [simlab._surface_experiment(WN, "surface", "projector", truths, 2),
                    (longer, "points", [(60, 2)], points, 3)]
     together = simlab._replicate(experiments, 4, 7, threads)
     apart = [simlab._replicate([e], 4, 7, threads)[0] for e in experiments]
@@ -605,6 +614,12 @@ def test_a_chunk_carries_the_truth_by_key(monkeypatch):
     assert len(shipped) < 2048
     # unpickled in the process that built it, the truth is the cached one
     assert pickle.loads(shipped).args[1][0] is evaluate.args[1][0]
+
+
+def test_every_functional_of_a_cell_shares_one_truth():
+    # the truth is keyed by the cell (spec, L) alone; _cells checks the rest
+    truths = {id(simlab._cells(WN, [40], tag, None)[1][0]) for tag in simlab.FUNCTIONALS}
+    assert truths == {id(simlab._make_truth(WN, 40))}
 
 
 def test_a_cached_truth_is_read_only():
