@@ -425,7 +425,7 @@ def leading_triples(series, L: int, rank: int) -> EigentripleSet:
     """
     f = as_series(series)
     n = f.size
-    check_window(n, L)
+    L = check_window(n, L)
     K = n - L + 1
     rank = integer("rank", rank, minimum=1)
     m = min(L, K)

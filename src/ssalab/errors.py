@@ -94,8 +94,9 @@ def integer(name: str, value, error=ValueError, minimum=None) -> int:
     return int(value)
 
 
-def check_window(n: int, L) -> None:
-    """WindowOutOfRange unless L is an integer with 2 <= L <= n-1."""
-    integer("window length", L, WindowOutOfRange)
+def check_window(n: int, L) -> int:
+    """L as an int; WindowOutOfRange unless it is an integer with 2 <= L <= n-1."""
+    L = integer("window length", L, WindowOutOfRange)
     if not 2 <= L <= n - 1:
         raise WindowOutOfRange(f"window length must satisfy 2 <= L <= N-1 (L={L}, N={n})")
+    return L

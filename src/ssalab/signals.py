@@ -9,7 +9,10 @@ truth. Exponential damping is written through the base b (s_n contains
 b^n), white noise has standard deviation sigma, and red noise is the
 stationary AR(1) process with coefficient alpha and unit variance before
 scaling by sigma. The AR(1) recurrence runs as a numpy prefix scan of at most
-ceil(log2 n) vector passes, so no draw needs scipy.
+ceil(log2 n) vector passes, so no draw needs scipy. A draw allocates its
+series once: the noise is scaled in place, and the scan's passes share one
+scratch array of length n - 1, so a red-noise residual costs two n-length
+arrays and a white one a single array.
 """
 
 from __future__ import annotations
@@ -37,14 +40,17 @@ def red_noise(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     is below 2^-60 (1 - |alpha|), where the dropped tail is below 2^-60 max|x|:
     at most ceil(log2 n) passes, 6 at alpha = 0.5. For alpha up to 0.99 it stays
     within 1e-15 max|y| of the recurrence evaluated exactly, as close as a
-    serial filter gets.
+    serial filter gets. The draw is scaled in place and every pass writes
+    alpha^s y[i-s] into one scratch array, so no pass allocates.
     """
-    g = rng.standard_normal(n)
-    y = np.sqrt(1.0 - alpha * alpha) * g
-    y[0] = g[0]
+    y = rng.standard_normal(n)
+    y0 = y[0]
+    y *= np.sqrt(1.0 - alpha * alpha)
+    y[0] = y0
+    scratch = np.empty(n - 1)
     s, p = 1, alpha
     while s < n and abs(p) > 2.0**-60 * (1.0 - abs(alpha)):
-        y[s:] += p * y[:-s]
+        y[s:] += np.multiply(y[:-s], p, out=scratch[:n - s])
         s, p = 2 * s, p * p
     return y
 
@@ -91,8 +97,20 @@ def _two_cos_poles(spec):
     return np.array([z1, z1.conjugate(), z2, z2.conjugate()])
 
 
-def _white(spec, rng, n):
-    return spec.sigma * rng.standard_normal(spec.n)
+def _white(spec, rng):
+    x = rng.standard_normal(spec.n)
+    x *= spec.sigma
+    return x
+
+
+def _red(spec, rng):
+    x = red_noise(rng, spec.n, spec.alpha)
+    x *= spec.sigma
+    return x
+
+
+def _indices(spec):
+    return np.arange(spec.n, dtype=float)
 
 
 def _no_poles(spec):
@@ -104,32 +122,28 @@ class _Kind:
     """One catalog row. `n` is the float array of sample indices."""
 
     signal: Callable  # (spec, n) -> signal values at n
-    residual: Callable  # (spec, rng, n) -> residual draw at 0..spec.n-1
+    residual: Callable  # (spec, rng) -> residual draw at 0..spec.n-1
     poles: Callable  # spec -> characteristic roots (one per rank), None for infinite rank
 
 
 _CATALOG = {
     "const_saw": _Kind(
         lambda spec, n: np.ones_like(n),
-        lambda spec, rng, n: -spec.c * (-1.0) ** n,
+        lambda spec, rng: -spec.c * (-1.0) ** _indices(spec),
         lambda spec: np.array([1.0 + 0.0j]),
     ),
     "damped_cos_const": _Kind(
         _damped_cos,
-        lambda spec, rng, n: np.full(spec.n, spec.c),
+        lambda spec, rng: np.full(spec.n, spec.c),
         _damped_cos_poles,
     ),
     "damped_cos_wn": _Kind(_damped_cos, _white, _damped_cos_poles),
     "damped_cos_mix": _Kind(
         _damped_cos,
-        lambda spec, rng, n: (spec.sigma * rng.standard_normal(spec.n) + spec.c) / np.sqrt(2.0),
+        lambda spec, rng: (spec.sigma * rng.standard_normal(spec.n) + spec.c) / np.sqrt(2.0),
         _damped_cos_poles,
     ),
-    "damped_cos_rn": _Kind(
-        _damped_cos,
-        lambda spec, rng, n: spec.sigma * red_noise(rng, spec.n, spec.alpha),
-        _damped_cos_poles,
-    ),
+    "damped_cos_rn": _Kind(_damped_cos, _red, _damped_cos_poles),
     "two_cos": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n / 19.0) + np.cos(2.0 * np.pi * n / 21.0),
         _white,
@@ -142,8 +156,8 @@ _CATALOG = {
     ),
     "chirp_trend_mix": _Kind(
         lambda spec, n: np.cos(2.0 * np.pi * n**2 / 1e5),
-        lambda spec, rng, n: spec.sigma * rng.standard_normal(spec.n)
-        + spec.c * np.cos(2.0 * np.pi * n / 10.0),
+        lambda spec, rng: spec.sigma * rng.standard_normal(spec.n)
+        + spec.c * np.cos(2.0 * np.pi * _indices(spec) / 10.0),
         _no_poles,
     ),
     "exp_trend": _Kind(lambda spec, n: spec.b**n, _white, lambda spec: np.array([spec.b + 0.0j])),
@@ -152,13 +166,13 @@ _CATALOG = {
 
 def signal_values(spec: SignalSpec, indices=None) -> np.ndarray:
     """Closed-form signal values at the given sample indices (default 0..n-1)."""
-    n = np.arange(spec.n, dtype=float) if indices is None else np.asarray(indices, dtype=float)
+    n = _indices(spec) if indices is None else np.asarray(indices, dtype=float)
     return _CATALOG[spec.kind].signal(spec, n)
 
 
 def residual_values(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
     """Residual draw matching the kind's recipe (deterministic kinds ignore rng)."""
-    return _CATALOG[spec.kind].residual(spec, rng, np.arange(spec.n, dtype=float))
+    return _CATALOG[spec.kind].residual(spec, rng)
 
 
 @lru_cache(maxsize=32)

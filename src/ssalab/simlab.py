@@ -87,23 +87,39 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix(h: int, part) -> int:
+    """h with one more part of a hash64 mixed in."""
+    if isinstance(part, str):
+        for byte in part.encode("utf-8"):
+            h = _splitmix64(h ^ byte)
+    elif isinstance(part, (int, np.integer)):
+        h = _splitmix64(h ^ (int(part) & _MASK64))
+    else:
+        raise TypeError(f"hash64 accepts ints and strings, got {type(part)!r}")
+    return h
+
+
 def hash64(*parts) -> int:
     """Stable 64-bit mix of integers and strings, platform independent."""
     h = 0x243F6A8885A308D3
     for part in parts:
-        if isinstance(part, str):
-            for byte in part.encode("utf-8"):
-                h = _splitmix64(h ^ byte)
-        elif isinstance(part, (int, np.integer)):
-            h = _splitmix64(h ^ (int(part) & _MASK64))
-        else:
-            raise TypeError(f"hash64 accepts ints and strings, got {type(part)!r}")
+        h = _mix(h, part)
     return h
 
 
+# typed, so a float seed equal to a cached int still raises TypeError
+@lru_cache(maxsize=64, typed=True)
+def _seed_prefix(master_seed: int, experiment_id: str) -> int:
+    return hash64(master_seed, experiment_id)
+
+
 def derive_seed(master_seed: int, experiment_id: str, rep_index: int) -> int:
-    """Per-replication seed: counter-based, independent of evaluation order."""
-    return hash64(master_seed, experiment_id, rep_index)
+    """Per-replication seed: counter-based, independent of evaluation order.
+
+    Equal to hash64(master_seed, experiment_id, rep_index); the hash of the
+    first two parts is cached, so a replication mixes in only its index.
+    """
+    return _mix(_seed_prefix(master_seed, experiment_id), rep_index)
 
 
 def pool_size(requested: Optional[int] = None) -> int:
@@ -203,12 +219,14 @@ def _run_reps(master_seed, experiments, lo, hi):
 
 
 def _rep_triples(spec, exp_id, master_seed, shapes, i):
-    """Replication i's leading triples. The series are freed on return, before
-    the next draw: held into it, they change how glibc trims the heap, and a
-    one-thread mc-narrow-red call took about six times the minor faults."""
+    """Replication i's leading triples. The residual is added into the signal
+    copy gen_series returns and dropped before the decomposition, so each
+    series-length array is allocated once; the peak, about 3 x 8N bytes, is
+    the signal beside a red-noise draw and its scan's scratch array."""
     rng = np.random.default_rng(derive_seed(master_seed, exp_id, i))
-    signal, residual = gen_series(spec, rng)
-    observed = signal + residual
+    observed, residual = gen_series(spec, rng)
+    observed += residual
+    del residual
     return [leading_triples(observed, L, r) for L, r in shapes]
 
 
@@ -315,14 +333,19 @@ def _finite_rank(spec: SignalSpec) -> int:
     return r
 
 
-@lru_cache(maxsize=32, typed=True)
-def _make_truth(spec: SignalSpec, L: int) -> _Truth:
+def _make_truth(spec: SignalSpec, L) -> _Truth:
     """The truth of the cell (spec, L), for every functional; raises InvalidSpec
-    unless the kind has a finite rank r, 2 <= L <= N-1, r < L and K = N-L+1 >= r
-    (`_cells` checks the functional and eigentriples). Cached, so read-only: a
-    truth holds 8 (N + 1 + r L) bytes, and the caller and each worker keep up
-    to 32 after a call returns (13 MB at N = 25596, L = 12793, r = 2).
-    """
+    unless the kind has a finite rank r, L is an integer (its truth.L an int),
+    2 <= L <= N-1, r < L and K = N-L+1 >= r (`_cells` checks the functional
+    and eigentriples)."""
+    return _cell_truth(spec, integer("window", L, InvalidSpec))
+
+
+@lru_cache(maxsize=32)
+def _cell_truth(spec: SignalSpec, L: int) -> _Truth:
+    """`_make_truth` of an int window. Cached, so read-only: a truth holds
+    8 (N + 1 + r L) bytes, and the caller and each worker keep up to 32 after
+    a call returns (13 MB at N = 25596, L = 12793, r = 2)."""
     r = _finite_rank(spec)
     K = spec.n - L + 1
     if not (2 <= L <= spec.n - 1 and r < L and r <= K):
@@ -383,10 +406,10 @@ def _cells(spec: SignalSpec, windows, functional: str, eigentriples: Optional[in
     below L for forecast-1-step, whose min-norm recurrence needs fewer."""
     if functional not in FUNCTIONALS:
         raise InvalidSpec(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
-    windows = tuple(integer("window", L, InvalidSpec) for L in windows)
-    if not windows:
-        raise InvalidSpec("need at least one window length")
     truths = [_make_truth(spec, L) for L in windows]
+    if not truths:
+        raise InvalidSpec("need at least one window length")
+    windows = tuple(t.L for t in truths)
     if eigentriples is None:
         return windows, truths, truths[0].rank
     keep = integer("eigentriples", eigentriples, InvalidSpec)
@@ -504,9 +527,9 @@ def mc_point_errors(
     pts = np.asarray(points)
     if pts.dtype.kind not in "iu" or pts.size == 0 or pts.min() < 0 or pts.max() >= spec.n:
         raise InvalidSpec(f"points must be indices in 0..N-1 = 0..{spec.n - 1}, got {points!r}")
-    exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:point:L={L}"
+    exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:point:L={truth.L}"
 
-    experiment = (spec, exp_id, [(L, truth.rank)], partial(_point_row, truth, pts), pts.size)
+    experiment = (spec, exp_id, [(truth.L, truth.rank)], partial(_point_row, truth, pts), pts.size)
     return _replicate([experiment], master_seed, reps, threads)[0][0]
 
 
@@ -678,15 +701,15 @@ def forecast_error_split(
     """Separate recurrence-estimation error from reconstruction error, one step ahead.
     Pooled workers (`threads` > 1) see the module state of the moment the pool started."""
     truth = _make_truth(spec, lrf_window)
-    _make_truth(spec, rec_window)  # checks the reconstruction window the same way
+    rec_window = _make_truth(spec, rec_window).L  # checks it the same way
     try:
         exact_lrf = min_norm_lrf(truth.exact_u)
     except VerticalSubspace as exc:
-        raise InvalidSpec(f"no exact recurrence: the exact subspace at L={lrf_window} is"
+        raise InvalidSpec(f"no exact recurrence: the exact subspace at L={truth.L} is"
                           f" vertical ({exc})") from exc
-    exp_id = f"{spec.kind}:forecast-split:Llrf={lrf_window}"
+    exp_id = f"{spec.kind}:forecast-split:Llrf={truth.L}"
 
-    shapes = [(lrf_window, truth.rank), (rec_window, truth.rank)]
+    shapes = [(truth.L, truth.rank), (rec_window, truth.rank)]
     experiment = (spec, exp_id, shapes, partial(_split_row, truth, exact_lrf), 3)
     [(errors, failed)] = _replicate([experiment], master_seed, reps, threads)
     failed = failed[:, 0]

@@ -294,6 +294,14 @@ def test_leading_triples_matches_decompose():
         assert sl.subspace_distance(t.u, ets.u[:, :r]) <= 1e-8
 
 
+def test_numpy_integer_window_gives_int_shape_and_the_same_bits():
+    f = cosine(200) + 0.1 * np.random.default_rng(8).standard_normal(200)
+    t = sl.leading_triples(f, np.int64(40), 2)
+    assert type(t.L) is int and type(t.K) is int
+    ref = sl.leading_triples(f, 40, 2)
+    assert sl.rank_reconstruction(t).tobytes() == sl.rank_reconstruction(ref).tobytes()
+
+
 def test_rank_reconstruction_matches_pipeline():
     rng = np.random.default_rng(7)
     f = cosine(200) + 0.1 * rng.standard_normal(200)

@@ -32,6 +32,33 @@ def test_red_noise_moments():
     assert abs(lag1 - 0.5) <= 0.01
 
 
+def _red_noise_allocating(rng, n, alpha):
+    # a scaled copy of the draw and a new array per pass; red_noise must give its bytes
+    g = rng.standard_normal(n)
+    y = np.sqrt(1.0 - alpha * alpha) * g
+    y[0] = g[0]
+    s, p = 1, alpha
+    while s < n and abs(p) > 2.0**-60 * (1.0 - abs(alpha)):
+        y[s:] += p * y[:-s]
+        s, p = 2 * s, p * p
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6399, 25596])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
+def test_in_place_draws_equal_the_allocating_expressions(n, alpha):
+    def rng():
+        return np.random.default_rng(n)
+
+    expected = _red_noise_allocating(rng(), n, alpha)
+    assert sl.red_noise(rng(), n, alpha).tobytes() == expected.tobytes()
+    if n >= 3:  # a SignalSpec needs three samples
+        red = sl.SignalSpec("damped_cos_rn", n, sigma=0.3, alpha=alpha)
+        assert residual_values(red, rng()).tobytes() == (0.3 * expected).tobytes()
+        white = sl.SignalSpec("damped_cos_wn", n, sigma=0.3)
+        assert residual_values(white, rng()).tobytes() == (0.3 * rng().standard_normal(n)).tobytes()
+
+
 def test_residual_snr_equalized_across_kinds():
     # all four residual recipes at c = sigma = 0.1 have the same mean square
     n = 10**6

@@ -8,7 +8,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,18 @@ def test_hash64_stable_values():
     assert sl.derive_seed(5, "exp", 7) == 5875374068217070649
     with pytest.raises(TypeError):
         sl.hash64(1.5)
+
+
+def test_derive_seed_is_hash64_of_its_three_parts():
+    masters = [-(2**63), -1, 0, 1, 2**64, 2**64 + 5, np.int64(-7), np.uint64(2**63)]
+    ids = ["", "x", "é:projector", "y" * 1000]
+    indices = [0, 1, 2**63, 2**64 + 1, -3, np.int64(9), np.uint64(2**64 - 1)]
+    for m, e, i in itertools.product(masters, ids, indices):
+        assert sl.derive_seed(m, e, i) == sl.hash64(m, e, i), (m, e, i)
+    sl.derive_seed(1, "exp", 0)  # with (1, "exp") cached, an equal float seed still fails
+    for bad in [(1, "exp", 1.5), (1.0, "exp", 0), (1, "exp", np.float64(2.0))]:
+        with pytest.raises(TypeError):
+            sl.derive_seed(*bad)
 
 
 def test_pool_size_env_cap(monkeypatch):
@@ -191,12 +205,18 @@ _THREADED_RUNS = {
         lambda: sl.forecast_error_split(WN, 40, 50, 2, master_seed=np.float64(3.0)),
         # at b = 1e6 no exact min-norm recurrence exists at L = 3
         lambda: sl.forecast_error_split(sl.SignalSpec("exp_trend", 20, b=1e6), 3, 5, 4),
+        lambda: sl.mc_point_errors(WN, 40.0, [10], 2),
+        lambda: sl.forecast_error_split(WN, 40.0, 50, 2),
+        lambda: sl.forecast_error_split(WN, 40, 50.0, 2),
+        lambda: sl.red_noise_projector_bound(sl.SignalSpec("damped_cos_rn", 100), 20.0),
     ]
     + [lambda t=t, run=run: run(t) for run in _THREADED_RUNS.values() for t in _BAD_THREADS],
     ids=["point-negative", "point-N", "points-reps-0", "point-fraction", "surface-reps-float",
          "split-reps-0", "forecast-eigentriples-L", "surface-window-float",
          "surface-eigentriples-float", "surface-seed-text", "points-seed-bool",
-         "convergence-seed-float", "split-seed-numpy-float", "split-vertical-exact-subspace"]
+         "convergence-seed-float", "split-seed-numpy-float", "split-vertical-exact-subspace",
+         "points-window-float", "split-lrf-window-float", "split-rec-window-float",
+         "bound-window-float"]
     + [f"{name}-threads-{t!r}" for name in _THREADED_RUNS for t in _BAD_THREADS],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
@@ -206,6 +226,17 @@ def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
     monkeypatch.setattr(simlab, "gen_series", no_replication)
     with pytest.raises(InvalidSpec):
         run()
+
+
+def test_numpy_integer_window_gives_the_bytes_of_an_int_one():
+    runs = [
+        lambda L: sl.mc_point_errors(WN, L, [10, 99], 3, threads=1),
+        lambda L: np.array(astuple(sl.forecast_error_split(WN, L, L + 10, 3, threads=1))),
+        lambda L: sl.mc_error_surface(WN, [L], 3, "reconstruction", threads=1).rmse,
+        lambda L: np.array(sl.red_noise_projector_bound(sl.SignalSpec("damped_cos_rn", 100), L)),
+    ]
+    for run in runs:
+        assert run(np.int64(40)).tobytes() == run(40).tobytes()
 
 
 @pytest.mark.parametrize("functional", ["reconstruction", "reconstruction-last-10"])
@@ -614,6 +645,21 @@ def test_a_chunk_carries_the_truth_by_key(monkeypatch):
     assert len(shipped) < 2048
     # unpickled in the process that built it, the truth is the cached one
     assert pickle.loads(shipped).args[1][0] is evaluate.args[1][0]
+
+
+def test_a_replication_allocates_each_series_once():
+    # the residual is added into gen_series's signal copy and the red-noise
+    # scan reuses one scratch array: about 3 x 8N bytes at the peak, where
+    # a new array per pass and per sum took about 5 x 8N
+    spec = sl.SignalSpec("damped_cos_rn", 25596)
+    simlab._rep_triples(spec, "heap", 0, [(20, 2)], 0)  # fills the caches
+    tracemalloc.start()
+    try:
+        simlab._rep_triples(spec, "heap", 0, [(20, 2)], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * spec.n + 64 * 1024
 
 
 def test_every_functional_of_a_cell_shares_one_truth():
