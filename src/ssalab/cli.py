@@ -23,7 +23,7 @@ from .core import (
     group_matrix,
     hankelize,
 )
-from .errors import EmptyNoiseBasis, SsaError
+from .errors import EmptyNoiseBasis, IndexOutOfRange, SsaError
 from .estimate import (
     find_peaks,
     poles_to_params,
@@ -41,9 +41,9 @@ class ParseError(ValueError):
     """Bad flag value, CSV, or config document (exit code 2)."""
 
 
-def parse_group(text: str) -> list[int]:
-    """Comma-separated 1-based indices and ranges: '1,2,5-8'."""
-    out: set[int] = set()
+def _group_spans(text: str) -> list[tuple[int, int]]:
+    """The (first, last) pairs of a group's indices and ranges; ParseError on bad syntax."""
+    spans = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -56,17 +56,27 @@ def parse_group(text: str) -> list[int]:
                 raise ParseError(f"bad group range {part!r}") from exc
             if lo_i > hi_i:
                 raise ParseError(f"empty group range {part!r}")
-            out.update(range(lo_i, hi_i + 1))
+            spans.append((lo_i, hi_i))
         else:
             try:
-                out.add(int(part))
+                spans.append((int(part),) * 2)
             except ValueError as exc:
                 raise ParseError(f"bad group index {part!r}") from exc
-    if not out:
+    if not spans:
         raise ParseError(f"group {text!r} selects nothing")
-    if min(out) < 1:
+    if min(lo for lo, _ in spans) < 1:
         raise ParseError("group indices are 1-based and must be positive")
-    return sorted(out)
+    return spans
+
+
+def parse_group(text: str, count: int) -> list[int]:
+    """Comma-separated 1-based indices and ranges: '1,2,5-8'. An index past
+    `count` raises IndexOutOfRange before any range is expanded."""
+    spans = _group_spans(text)
+    top = max(hi for _, hi in spans)
+    if top > count:
+        raise IndexOutOfRange(f"group {text!r} reaches eigentriple {top}; there are {count}")
+    return sorted(set().union(*(range(lo, hi + 1) for lo, hi in spans)))
 
 
 def _load_series(path) -> np.ndarray:
@@ -110,7 +120,8 @@ def cmd_decompose(args) -> None:
 
 
 def cmd_reconstruct(args) -> None:
-    group = parse_group(args.group) if args.group else None
+    if args.group:
+        _group_spans(args.group)  # bad syntax exits 2 before any input is read
     if args.from_decomposition:
         try:
             ets, mean = sio.read_eigentriples(args.from_decomposition)
@@ -121,8 +132,7 @@ def cmd_reconstruct(args) -> None:
     else:
         f, mean, L = _prepared(args)
         ets = _decomposition(f, L, args.toeplitz)
-    if group is None:
-        group = list(range(1, ets.count + 1))
+    group = parse_group(args.group, ets.count) if args.group else range(1, ets.count + 1)
     series = hankelize(group_matrix(ets, group)) + mean
     sio.write_series(args.output, series, fmt=args.format)
 
@@ -217,7 +227,7 @@ def cmd_simulate(args) -> None:
         doc.update({k: v for k, v in (("seed", args.seed), ("reps", args.reps)) if v is not None})
     try:
         config = ExperimentConfig.from_dict(doc)
-        workers = pool_size()
+        workers = pool_size()  # a bad SSA_LAB_THREADS exits 2 here
     except SsaError as exc:
         raise ParseError(str(exc)) from exc
     base = args.output or config.output
@@ -229,7 +239,7 @@ def cmd_simulate(args) -> None:
             f" functional={config.functional} workers={workers}",
             file=sys.stderr,
         )
-    surf = run_experiment(config, threads=workers)
+    surf = run_experiment(config)
     sio.write_error_surface_csv(str(base) + ".csv", surf)
     sio.write_error_surface_json(str(base) + ".json", surf)
 

@@ -2,7 +2,9 @@
 (the plain arrays `estimate` returns, written column by column), experiment
 reports. All floats are written with round-trip precision so a
 decomposition exported to JSON reproduces downstream results bit for bit;
-that format lives in the two writers `_write_csv` and `_write_json`.
+that format lives in the two writers `_write_csv` and `_write_json`. The
+reader returns u and v C-contiguous, the layout the decompositions give,
+since a transform's sums depend on the layout of its input.
 
 Overwriting: an existing output that is a regular file with one link, owned
 by the effective user, writable and without extended attributes (no ACL or
@@ -37,8 +39,9 @@ from .simlab import ErrorSurface
 
 
 def read_series(path) -> np.ndarray:
-    """Read a series from CSV: one value per line, optional single header line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a series from CSV: one value per line, optional single header line;
+    a leading UTF-8 byte order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -179,6 +182,7 @@ def eigentriples_from_dict(doc: dict) -> tuple[EigentripleSet, float]:
         )
     if np.any(sigmas < 0) or np.any(np.diff(sigmas) > 0):
         raise ValueError("eigentriple sigmas must be nonnegative and nonincreasing")
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
     ets = EigentripleSet(sigmas=sigmas, u=u, v=v, method=method, L=L, K=K)
     return ets, mean
 

@@ -514,7 +514,6 @@ def mc_point_errors(
     points,
     reps: int,
     master_seed: int = 0,
-    experiment_id: Optional[str] = None,
     threads: Optional[int] = None,
 ) -> np.ndarray:
     """Per-replication reconstruction errors at chosen series indices.
@@ -527,8 +526,7 @@ def mc_point_errors(
     pts = np.asarray(points)
     if pts.dtype.kind not in "iu" or pts.size == 0 or pts.min() < 0 or pts.max() >= spec.n:
         raise InvalidSpec(f"points must be indices in 0..N-1 = 0..{spec.n - 1}, got {points!r}")
-    exp_id = experiment_id if experiment_id is not None else f"{spec.kind}:point:L={truth.L}"
-
+    exp_id = f"{spec.kind}:point:L={truth.L}"
     experiment = (spec, exp_id, [(truth.L, truth.rank)], partial(_point_row, truth, pts), pts.size)
     return _replicate([experiment], master_seed, reps, threads)[0][0]
 
@@ -711,15 +709,12 @@ def forecast_error_split(
 
     shapes = [(truth.L, truth.rank), (rec_window, truth.rank)]
     experiment = (spec, exp_id, shapes, partial(_split_row, truth, exact_lrf), 3)
-    [(errors, failed)] = _replicate([experiment], master_seed, reps, threads)
-    failed = failed[:, 0]
-    ok = errors[~failed]  # axis-0 sums run in replication order, not pairwise
-    rmse = np.sqrt(np.mean(ok**2, axis=0)) if ok.size else np.full(3, np.nan)
+    _, rmse, failures = _window_stats(*_replicate([experiment], master_seed, reps, threads)[0])
     return ForecastErrorSplit(
         rmse_total=float(rmse[0]),
         rmse_lrf_only=float(rmse[1]),
         rmse_rec_only=float(rmse[2]),
-        failures=int(failed.sum()),
+        failures=int(failures[0]),
     )
 
 

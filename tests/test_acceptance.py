@@ -95,9 +95,7 @@ def test_asymptotic_variance_match():
     """Middle-point reconstruction error variance vs the closed form, 20% band."""
     n, L, sigma, reps = 1000, 500, 0.1, 2000
     spec = sl.SignalSpec("exp_trend", n=n, sigma=sigma, b=1.0)  # a noisy constant
-    # this experiment id keeps the seed stream the 20% band was checked on
-    errs = sl.mc_point_errors(spec, L, [n // 2], reps=reps, master_seed=2024,
-                              experiment_id=f"custom:point:L={L}")
+    errs = sl.mc_point_errors(spec, L, [n // 2], reps=reps, master_seed=2024)
     empirical = float(errs[:, 0].var())
     predicted = sl.asymptotic_variance(0.5, 1.0, sigma, n)
     assert predicted == pytest.approx(sigma**2 / n * 4 / 3, rel=1e-12)

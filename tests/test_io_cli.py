@@ -9,6 +9,7 @@ import pytest
 import ssalab as sl
 from ssalab import io as sio
 from ssalab.cli import main, parse_group
+from ssalab.errors import IndexOutOfRange
 
 
 def write_cosine_csv(path, n_points=100, header=False):
@@ -27,6 +28,14 @@ def test_read_series_plain_and_header(tmp_path):
     np.testing.assert_array_equal(sio.read_series(p), f)
     f2 = write_cosine_csv(p, header=True)
     np.testing.assert_array_equal(sio.read_series(p), f2)
+
+
+def test_read_series_drops_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n4.5\n")
+    np.testing.assert_array_equal(sio.read_series(p), [1.5, 2.5, 3.5, 4.5])
+    p.write_bytes(b"\xef\xbb\xbfvalue\n1.5\n2.5\n")
+    np.testing.assert_array_equal(sio.read_series(p), [1.5, 2.5])
 
 
 def test_read_series_rejects_nan_and_garbage(tmp_path):
@@ -61,6 +70,17 @@ def test_eigentriples_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.sigmas, ets.sigmas)
     np.testing.assert_array_equal(back.u, ets.u)
     np.testing.assert_array_equal(back.v, ets.v)
+
+
+@pytest.mark.parametrize("n, L", [(200, 50), (1000, 50), (1000, 500)])
+@pytest.mark.parametrize("toeplitz", [False, True], ids=["basic", "toeplitz"])
+def test_loaded_eigentriples_reconstruct_bit_for_bit(n, L, toeplitz):
+    # a transposed (F-ordered) u or v moved the reconstruction's last bits
+    f = np.cos(2 * np.pi * np.arange(n) / 10) + 0.1 * np.random.default_rng(n + L).standard_normal(n)
+    ets = sl.decompose_toeplitz(f, L) if toeplitz else sl.decompose(sl.embed(f, L))
+    back, _ = sio.eigentriples_from_dict(json.loads(json.dumps(sio.eigentriples_to_dict(ets))))
+    assert back.u.flags.c_contiguous and back.v.flags.c_contiguous
+    assert sl.rank_reconstruction(back).tobytes() == sl.rank_reconstruction(ets).tobytes()
 
 
 def test_eigentriples_from_dict_rejects_nonfinite_and_unknown_method():
@@ -115,14 +135,30 @@ def test_decompose_export_matches_reference_format(tmp_path):
 
 
 def test_parse_group():
-    assert parse_group("1,2,5-8") == [1, 2, 5, 6, 7, 8]
-    assert parse_group("3") == [3]
+    assert parse_group("1,2,5-8", 8) == [1, 2, 5, 6, 7, 8]
+    assert parse_group("3", 8) == [3]
+    assert parse_group("2,1-3", 3) == [1, 2, 3]
     with pytest.raises(ValueError):
-        parse_group("0,1")
+        parse_group("0,1", 8)
     with pytest.raises(ValueError):
-        parse_group("a-b")
+        parse_group("a-b", 8)
     with pytest.raises(ValueError):
-        parse_group(",")
+        parse_group(",", 8)
+    # the count is checked before a range is expanded
+    with pytest.raises(IndexOutOfRange, match="reaches eigentriple 1000000000000; there are 3"):
+        parse_group("1-1000000000000", 3)
+
+
+@pytest.mark.parametrize("group", ["1-1000", "1-1000000000000"])
+def test_reconstruct_group_past_the_count_exits_3_in_one_line(tmp_path, capsys, group):
+    src = tmp_path / "cos.csv"
+    write_cosine_csv(src)
+    out = tmp_path / "rec.csv"
+    assert main(["reconstruct", "-i", str(src), "-L", "20", "--group", group, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"IndexOutOfRange: group {group!r}" in err
+    assert len(err) < 200 and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- CLI subcommands ----------------------------------------------------------------

@@ -345,9 +345,7 @@ def test_asymptotic_variance_domain():
 def test_empirical_variance_matches_d2_branch():
     # interior point l = N/4 (gamma = 0.5) of a noisy constant, L = N/2
     spec = sl.SignalSpec("exp_trend", n=400, sigma=0.1, b=1.0)
-    # this experiment id keeps the seed stream the 25% band was checked on
-    errs = sl.mc_point_errors(spec, 200, [100], reps=1500, master_seed=10,
-                              experiment_id="custom:point:L=200")
+    errs = sl.mc_point_errors(spec, 200, [100], reps=1500, master_seed=10)
     predicted = sl.asymptotic_variance(0.5, 0.5, 0.1, 400)
     assert errs[:, 0].var() == pytest.approx(predicted, rel=0.25)
 
