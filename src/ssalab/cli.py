@@ -219,7 +219,7 @@ def cmd_pseudospectrum(args) -> None:
 
 def cmd_simulate(args) -> None:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.config}: invalid JSON: {exc}") from exc

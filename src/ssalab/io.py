@@ -192,7 +192,7 @@ def write_eigentriples(path, ets: EigentripleSet, mean: float | None = None) -> 
 
 
 def read_eigentriples(path) -> tuple[EigentripleSet, float]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return eigentriples_from_dict(json.load(fh))
 
 

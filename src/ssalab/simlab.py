@@ -5,7 +5,7 @@ Every experiment runs through `_replicate`, and every replication through
 `_run_reps`: replication i seeds a generator with derive_seed(master_seed,
 experiment_id, i), draws the series with gen_series, takes
 leading_triples(observed, L, r) once per declared (L, r) and passes them to
-the experiment's evaluate(triples, row, failed_row), a module-level function
+the experiment's evaluate(triples, row), a module-level function
 bound with functools.partial, which fills row i only; so results are
 identical for any worker count. `_replicate` runs a sequence of experiments
 in one round: convergence_ratio's two lengths wait on the pool once. A run's
@@ -42,7 +42,7 @@ import glob
 import os
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Optional
@@ -202,19 +202,18 @@ def _one_blas_thread():
 
 def _run_reps(master_seed, experiments, lo, hi):
     """Run replications lo..hi-1 of each experiment in turn; return one
-    (errors, failed) pair per experiment, each of shape (hi - lo, width).
+    errors array per experiment, of shape (hi - lo, width).
 
     An experiment is (spec, experiment id, shapes, evaluate, width); its
-    replication i calls evaluate(triples, errors[i - lo], failed[i - lo]) with
-    one leading_triples result per (L, r) in `shapes`; errors start as NaN.
+    replication i calls evaluate(triples, errors[i - lo]) with one
+    leading_triples result per (L, r) in `shapes`; an entry left NaN failed.
     """
     out = []
     for spec, exp_id, shapes, evaluate, width in experiments:
         errors = np.full((hi - lo, width), np.nan)
-        failed = np.zeros((hi - lo, width), dtype=bool)
         for row, i in enumerate(range(lo, hi)):
-            evaluate(_rep_triples(spec, exp_id, master_seed, shapes, i), errors[row], failed[row])
-        out.append((errors, failed))
+            evaluate(_rep_triples(spec, exp_id, master_seed, shapes, i), errors[row])
+        out.append(errors)
     return out
 
 
@@ -274,7 +273,7 @@ def _shutdown_pool(executor=None) -> None:
 
 def _replicate(experiments, master_seed, reps, threads):
     """Run `reps` replications of each experiment in one round; return one
-    (errors, failed) pair per experiment, each of shape (reps, width).
+    errors array per experiment, of shape (reps, width).
 
     See _run_reps for the rows; a pooled run stacks its chunks' rows by index.
     """
@@ -302,7 +301,7 @@ def _replicate(experiments, master_seed, reps, threads):
     except BrokenProcessPool:
         _shutdown_pool(executor)  # a worker died in this run; the next run builds a new pool
         raise
-    return [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*rows)]
+    return [np.concatenate(parts) for parts in zip(*rows)]
 
 
 # -- single-replication error functionals ------------------------------------
@@ -402,8 +401,8 @@ def _functional_error(tag: str, t, truth: _Truth) -> float:
 def _cells(spec: SignalSpec, windows, functional: str, eigentriples: Optional[int]):
     """(windows as ints, one _Truth per window, the triples each replication
     keeps); InvalidSpec for an unknown functional, no or a non-integer window,
-    a cell `_make_truth` rejects, or eigentriples outside 1..min(L, K), or not
-    below L for forecast-1-step, whose min-norm recurrence needs fewer."""
+    a cell `_make_truth` rejects, eigentriples given to a functional that uses
+    the rank, or outside 1..min(L, K), or not below L for forecast-1-step."""
     if functional not in FUNCTIONALS:
         raise InvalidSpec(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
     truths = [_make_truth(spec, L) for L in windows]
@@ -412,21 +411,21 @@ def _cells(spec: SignalSpec, windows, functional: str, eigentriples: Optional[in
     windows = tuple(t.L for t in truths)
     if eigentriples is None:
         return windows, truths, truths[0].rank
+    if functional not in _REC_FUNCTIONALS:
+        raise InvalidSpec(f"eigentriples applies only to {_REC_FUNCTIONALS}, not {functional!r}")
     keep = integer("eigentriples", eigentriples, InvalidSpec)
     for L in windows:
         top = min(L - 1 if functional == "forecast-1-step" else L, spec.n - L + 1)
         if not 1 <= keep <= top:
             raise InvalidSpec(f"eigentriples must lie in 1..{top} for {functional} at L={L},"
                               f" K={spec.n - L + 1}, got {keep}")
-    return windows, truths, keep if functional in _REC_FUNCTIONALS else truths[0].rank
+    return windows, truths, keep
 
 
-def _surface_row(tag, truths, triples, row, failed_row) -> None:
+def _surface_row(tag, truths, triples, row) -> None:
     for j, (t, truth) in enumerate(zip(triples, truths)):
-        try:
+        with suppress(VerticalSubspace):  # a failure leaves the entry NaN
             row[j] = _functional_error(tag, t, truth)
-        except VerticalSubspace:
-            failed_row[j] = True
 
 
 def _surface_experiment(spec, exp_id, tag, truths, keep) -> tuple:
@@ -436,18 +435,16 @@ def _surface_experiment(spec, exp_id, tag, truths, keep) -> tuple:
     return spec, exp_id, shapes, partial(_surface_row, tag, truths), len(truths)
 
 
-def _window_stats(errors, failed):
-    """(MSD, RMSE, failure count) of each column over its surviving replications."""
-    msd = np.empty(errors.shape[1])
-    rmse = np.empty(errors.shape[1])
-    for j in range(errors.shape[1]):
-        ok = errors[~failed[:, j], j]
-        if ok.size == 0:
-            msd[j] = rmse[j] = np.nan
-        else:
+def _window_stats(errors):
+    """(MSD, RMSE, failure count) of each column over its surviving
+    replications; a NaN entry is a failed one."""
+    msd, rmse = np.full((2, errors.shape[1]), np.nan)
+    for j, column in enumerate(errors.T):
+        ok = column[~np.isnan(column)]
+        if ok.size:
             msd[j] = float(np.mean(ok))
             rmse[j] = float(np.sqrt(np.mean(ok**2)))
-    return msd, rmse, failed.sum(axis=0)
+    return msd, rmse, np.isnan(errors).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -484,13 +481,14 @@ def mc_error_surface(
     Replication i reuses one simulated series across all windows (common
     random numbers), seeded by the derivation contract above. `eigentriples`
     overrides how many leading terms the reconstruction functionals keep
-    (default: the signal rank); parameter functionals always use the rank.
+    (default: the signal rank); the projector, frequency and base functionals
+    always use the rank, and raise InvalidSpec when it is given.
     Pooled workers (`threads` > 1) see the module state of the moment the pool started.
     """
     windows, truths, keep = _cells(spec, windows, functional, eigentriples)
     exp_id = f"{spec.kind}:{functional}"
     experiment = _surface_experiment(spec, exp_id, functional, truths, keep)
-    msd, rmse, failures = _window_stats(*_replicate([experiment], master_seed, reps, threads)[0])
+    msd, rmse, failures = _window_stats(_replicate([experiment], master_seed, reps, threads)[0])
     return ErrorSurface(
         spec=spec,
         functional=functional,
@@ -504,7 +502,7 @@ def mc_error_surface(
     )
 
 
-def _point_row(truth, pts, triples, row, failed_row) -> None:
+def _point_row(truth, pts, triples, row) -> None:
     row[:] = rank_reconstruction(triples[0])[pts] - truth.signal[pts]
 
 
@@ -528,7 +526,7 @@ def mc_point_errors(
         raise InvalidSpec(f"points must be indices in 0..N-1 = 0..{spec.n - 1}, got {points!r}")
     exp_id = f"{spec.kind}:point:L={truth.L}"
     experiment = (spec, exp_id, [(truth.L, truth.rank)], partial(_point_row, truth, pts), pts.size)
-    return _replicate([experiment], master_seed, reps, threads)[0][0]
+    return _replicate([experiment], master_seed, reps, threads)[0]
 
 
 # -- convergence ratios -------------------------------------------------------
@@ -584,7 +582,7 @@ def convergence_ratio(
         windows.append(L)
         exp_id = f"{spec.kind}:{functional}:{policy}:N={n}"
         experiments.append(_surface_experiment(spec_n, exp_id, functional, truths, keep))
-    stats = [_window_stats(*rows) for rows in _replicate(experiments, master_seed, reps, threads)]
+    stats = [_window_stats(errors) for errors in _replicate(experiments, master_seed, reps, threads)]
     L1, L2 = windows
     rmse1, rmse2 = (float(rmse[0]) for _, rmse, _ in stats)
     fail1, fail2 = (int(failures[0]) for _, _, failures in stats)
@@ -674,12 +672,11 @@ class ForecastErrorSplit:
     failures: int
 
 
-def _split_row(truth, exact_lrf, triples, row, failed_row) -> None:
+def _split_row(truth, exact_lrf, triples, row) -> None:
     try:
         est_lrf = min_norm_lrf(triples[0].u)
     except VerticalSubspace:
-        failed_row[:] = True
-        return
+        return  # the row stays NaN
     rec = rank_reconstruction(triples[1])
     tail_rec = rec[-est_lrf.size:]
     tail_true = truth.signal[-est_lrf.size:]
@@ -709,7 +706,7 @@ def forecast_error_split(
 
     shapes = [(truth.L, truth.rank), (rec_window, truth.rank)]
     experiment = (spec, exp_id, shapes, partial(_split_row, truth, exact_lrf), 3)
-    _, rmse, failures = _window_stats(*_replicate([experiment], master_seed, reps, threads)[0])
+    _, rmse, failures = _window_stats(_replicate([experiment], master_seed, reps, threads)[0])
     return ForecastErrorSplit(
         rmse_total=float(rmse[0]),
         rmse_lrf_only=float(rmse[1]),

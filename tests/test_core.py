@@ -564,6 +564,19 @@ def test_series_gram_route_computes_v_on_first_read(monkeypatch):
         assert np.max(np.abs(sl.rank_reconstruction(t) - dense)) <= 1e-9
 
 
+def test_series_gram_route_copies_a_read_only_view():
+    # a read-only flag does not freeze the memory under it: a window of a
+    # buffer the caller refills after the call still gives the v of the call
+    buf = _noisy_cosine(2 * 6399, 19)
+    view = np.lib.stride_tricks.sliding_window_view(buf, 6399)[0]
+    assert not view.flags.writeable
+    t = sl.leading_triples(view, 20, 2)
+    expected = ((t.u.T @ sl.embed(view.copy(), 20)).T / t.sigmas).tobytes()
+    assert t.route == "gram" and not np.shares_memory(vars(t)["v"].args[0], buf)
+    buf[:] = 0.0
+    assert t.v.tobytes() == expected
+
+
 def test_first_read_of_v_from_many_threads():
     # the first read takes no lock: threads that race on it each compute the
     # same bits, and whichever array is kept is one of them

@@ -193,6 +193,18 @@ def test_cli_decompose_reconstruct_round_trip_bitwise(tmp_path):
     assert direct.read_bytes() == via.read_bytes()
 
 
+def test_cli_reconstruct_reads_a_decomposition_with_a_byte_order_mark(tmp_path):
+    src = tmp_path / "cos.csv"
+    write_cosine_csv(src)
+    plain, bom = tmp_path / "ets.json", tmp_path / "bom.json"
+    assert main(["decompose", "-i", str(src), "-L", "20", "-o", str(plain)]) == 0
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, bom):
+        out = tmp_path / f"{path.stem}.csv"
+        assert main(["reconstruct", "--from-decomposition", str(path), "-o", str(out)]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "ets.csv").read_bytes()
+
+
 def test_cli_reconstruct_rejects_nonfinite_decomposition(tmp_path, capsys):
     src = tmp_path / "cos.csv"
     write_cosine_csv(src)
@@ -504,6 +516,19 @@ def test_cli_simulate_reproducible(tmp_path):
     assert header == "L,functional,MSD,RMSE,reps"
 
 
+def test_cli_simulate_reads_a_config_with_a_byte_order_mark(tmp_path):
+    cfg = json.dumps({"signal": {"kind": "damped_cos_wn", "n": 60, "sigma": 0.1},
+                      "windows": [20, 30], "reps": 3, "functional": "projector"})
+    (tmp_path / "plain.json").write_bytes(cfg.encode("utf-8"))
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + cfg.encode("utf-8"))
+    for name in ("plain", "bom"):
+        base = tmp_path / f"out_{name}"
+        assert main(["simulate", "--config", str(tmp_path / f"{name}.json"), "-o", str(base)]) == 0
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"out_bom.{ext}").read_bytes() \
+            == (tmp_path / f"out_plain.{ext}").read_bytes()
+
+
 @pytest.mark.parametrize(
     "change, env, flags",
     [
@@ -526,12 +551,13 @@ def test_cli_simulate_reproducible(tmp_path):
         ({"signal": {"kind": "damped_cos_wn", "n": 60, "b": float("inf")}}, None, []),
         ({"noise": {"kind": "white", "sigma": 0.1}}, None, []),
         ({"functional": "damping"}, None, []),
+        ({"functional": "projector", "eigentriples": 2}, None, []),
     ],
     ids=["n-text", "n-fraction", "reps-0", "reps-text", "flag-reps-0", "window-404",
          "window-text", "eigentriples-500", "threads-text", "threads-0", "window-2-rank-2",
          "two-cos-window-3", "two-cos-window-98", "chirp-no-finite-rank",
          "forecast-eigentriples-L", "sigma-nan", "b-infinite", "noise-block",
-         "functional-damping"],
+         "functional-damping", "projector-eigentriples"],
 )
 def test_cli_simulate_config_errors_exit_2(tmp_path, monkeypatch, capsys, change, env, flags):
     cfg = {

@@ -246,6 +246,13 @@ def test_eigentriples_equal_to_window(functional):
     assert np.all(np.isfinite(surf.rmse))
 
 
+@pytest.mark.parametrize("functional", ["projector", "frequency", "base"])
+def test_eigentriples_for_a_functional_that_uses_the_rank(functional):
+    # these functionals always keep the signal rank, so a count would be ignored
+    with pytest.raises(InvalidSpec, match="eigentriples applies only to"):
+        sl.mc_error_surface(WN, [40], 2, functional, eigentriples=2)
+
+
 def test_functional_names_and_unknown():
     surf = sl.mc_error_surface(WN, [40], 2, "base", master_seed=5)
     assert surf.functional == "base"
@@ -420,8 +427,8 @@ def _fail_min_norm_lrf(monkeypatch, calls):
 
 
 def _replicate_rows(monkeypatch) -> list:
-    """The (errors, failed) rows of each experiment of every _replicate call
-    from here on."""
+    """The errors array of each experiment of every _replicate call from here
+    on."""
     real, rows = simlab._replicate, []
 
     def replicate(*args):
@@ -436,7 +443,7 @@ def _replicate_rows(monkeypatch) -> list:
 def test_surface_averages_only_the_replications_that_survive(monkeypatch):
     rows = _replicate_rows(monkeypatch)
     sl.mc_error_surface(WN, [40, 50], 4, "forecast-1-step", master_seed=3, threads=1)
-    errors = rows[0][0]
+    errors = rows[0]
     # one call per replication and window, windows innermost: call 1 is
     # replication 0 at L = 50, call 4 replication 2 at L = 40
     _fail_min_norm_lrf(monkeypatch, {1, 4})
@@ -451,13 +458,73 @@ def test_surface_averages_only_the_replications_that_survive(monkeypatch):
 def test_forecast_split_averages_only_the_replications_that_survive(monkeypatch):
     rows = _replicate_rows(monkeypatch)
     sl.forecast_error_split(WN, 40, 50, 4, master_seed=3, threads=1)
-    errors = rows[0][0]
+    errors = rows[0]
     # call 0 computes the exact recurrence, call i + 1 replication i's estimate
     _fail_min_norm_lrf(monkeypatch, {2, 3})
     split = sl.forecast_error_split(WN, 40, 50, 4, master_seed=3, threads=1)
     assert split.failures == 2
     rmse = np.sqrt(np.mean(errors[[0, 3]] ** 2, axis=0))
     assert [split.rmse_total, split.rmse_lrf_only, split.rmse_rec_only] == rmse.tolist()
+
+
+def test_an_evaluation_that_returns_writes_a_finite_value(monkeypatch):
+    # NaN marks a failed replication, so a functional that does not raise
+    # VerticalSubspace must give a finite error; checked on the golden cells
+    from test_golden import compute
+
+    real, values, raised = simlab._functional_error, {}, []
+
+    def checked(tag, t, truth):
+        try:
+            value = real(tag, t, truth)
+        except VerticalSubspace:
+            raised.append(tag)
+            raise
+        values.setdefault(tag, []).append(value)
+        return value
+
+    monkeypatch.setattr(simlab, "_functional_error", checked)
+    rows = _replicate_rows(monkeypatch)
+    golden = compute()
+    assert sorted(values) == sorted(simlab.FUNCTIONALS)
+    for tag, errors in values.items():
+        assert np.isfinite(errors).all(), tag
+    # every NaN left in the rows is a failure the run counted
+    split_failures = golden["forecast_error_split"]["failures"]
+    assert sum(int(np.isnan(e).sum()) for e in rows) == len(raised) + 3 * split_failures
+
+
+def _fail_on_positive_first_entry(monkeypatch):
+    """Make simlab's min_norm_lrf raise VerticalSubspace whenever the basis'
+    first entry is positive: a rule fixed by the replication alone."""
+    real = simlab.min_norm_lrf
+
+    def min_norm_lrf(B):
+        if B[0, 0] > 0:
+            raise VerticalSubspace("first entry positive")
+        return real(B)
+
+    monkeypatch.setattr(simlab, "min_norm_lrf", min_norm_lrf)
+
+
+def test_failures_give_the_same_bytes_at_any_worker_count(monkeypatch):
+    # a failed entry stays NaN in whichever worker ran it; the counts and the
+    # averages over the survivors must not depend on the chunking
+    monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _fail_on_positive_first_entry(monkeypatch)
+    simlab._shutdown_pool()  # the next pooled run forks workers that hold the patch
+    try:
+        surface = [sl.mc_error_surface(WN, [20, 40, 50], 11, "forecast-1-step", master_seed=2,
+                                       threads=t) for t in (1, 3)]
+        split = [sl.forecast_error_split(WN, 40, 50, 11, master_seed=2, threads=t)
+                 for t in (1, 3)]
+    finally:
+        simlab._shutdown_pool()  # later runs must not fork from the patched module
+    assert 0 < surface[0].failures.min() and surface[0].failures.max() < 11
+    assert 0 < split[0].failures < 11
+    for serial, pooled in (surface, split):
+        assert _as_bytes(pooled) == _as_bytes(serial)
 
 
 # -- red-noise bound ---------------------------------------------------------------
@@ -496,7 +563,7 @@ def test_red_noise_projector_bound_matches_dense_oracle(n, L, b):
     assert sl.red_noise_projector_bound(spec, L) == pytest.approx(np.linalg.norm(M, 2), rel=1e-10)
 
 
-def _worker_blas_threads(triples, row, failed_row):
+def _worker_blas_threads(triples, row):
     row[:] = simlab._openblas_threads()[0](), os.getpid()
 
 
@@ -510,7 +577,7 @@ def test_replication_runner_restores_blas_thread_count(monkeypatch):
     set_(2)  # a count the cap must move away from and back to
     seen = []
 
-    def run(reps, threads, evaluate=lambda triples, row, failed_row: seen.append(get())):
+    def run(reps, threads, evaluate=lambda triples, row: seen.append(get())):
         simlab._replicate([(WN, "blas", [(40, 2)], evaluate, 1)], 0, reps, threads)
 
     try:
@@ -518,7 +585,7 @@ def test_replication_runner_restores_blas_thread_count(monkeypatch):
         # the pool's workers (forked processes) run at one BLAS thread; the
         # parent's count does not move
         experiment = (WN, "blas", [(40, 2)], _worker_blas_threads, 2)
-        [(errors, _)] = simlab._replicate([experiment], 0, 4, 2)
+        [errors] = simlab._replicate([experiment], 0, 4, 2)
         assert errors[:, 0].tolist() == [1.0] * 4
         if POOLED:
             assert os.getpid() not in errors[:, 1]
@@ -527,7 +594,7 @@ def test_replication_runner_restores_blas_thread_count(monkeypatch):
         run(4, 1)
         assert get() == before
 
-        def fails(triples, row, failed_row):
+        def fails(triples, row):
             raise RuntimeError("evaluate failed")
 
         with pytest.raises(RuntimeError):
@@ -539,10 +606,10 @@ def test_replication_runner_restores_blas_thread_count(monkeypatch):
         both_in, first_out = threading.Barrier(2, timeout=60), threading.Event()
         second_calls = []
 
-        def first(triples, row, failed_row):
+        def first(triples, row):
             both_in.wait()
 
-        def second(triples, row, failed_row):
+        def second(triples, row):
             second_calls.append(None)
             if len(second_calls) == 1:
                 both_in.wait()
@@ -623,9 +690,8 @@ def test_two_experiments_in_one_round_equal_two_rounds(monkeypatch, threads):
                    (longer, "points", [(60, 2)], points, 3)]
     together = simlab._replicate(experiments, 4, 7, threads)
     apart = [simlab._replicate([e], 4, 7, threads)[0] for e in experiments]
-    assert [a.shape for a, _ in together] == [(7, 2), (7, 3)]
-    assert [[a.tobytes() for a in rows] for rows in together] \
-        == [[a.tobytes() for a in rows] for rows in apart]
+    assert [a.shape for a in together] == [(7, 2), (7, 3)]
+    assert [a.tobytes() for a in together] == [a.tobytes() for a in apart]
 
 
 def test_a_chunk_carries_the_truth_by_key(monkeypatch):
@@ -674,16 +740,16 @@ def test_a_cached_truth_is_read_only():
             array[0] = 0.0
 
 
-def _raise_in_worker(parent, triples, row, failed_row):
+def _raise_in_worker(parent, triples, row):
     if os.getpid() != parent:
         raise TlsDegenerate("raised in a worker")
 
 
-def _worker_pid(triples, row, failed_row):
+def _worker_pid(triples, row):
     row[:] = os.getpid()
 
 
-def _die_in_worker(parent, triples, row, failed_row):
+def _die_in_worker(parent, triples, row):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -751,7 +817,7 @@ def test_concurrent_callers_at_different_worker_counts(monkeypatch):
 @pooled
 def test_worker_killed_between_runs_does_not_fail_the_next_run(monkeypatch):
     monkeypatch.delenv("SSA_LAB_THREADS", raising=False)
-    [(pids, _)] = simlab._replicate([(WN, "pids", [(40, 2)], _worker_pid, 1)], 0, 4, 2)
+    [pids] = simlab._replicate([(WN, "pids", [(40, 2)], _worker_pid, 1)], 0, 4, 2)
     executor = simlab._pool
     os.kill(int(pids[0, 0]), signal.SIGKILL)
     # wait until the pool has seen its worker die, as it has long before the
