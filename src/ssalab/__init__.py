@@ -46,7 +46,6 @@ from .simlab import (
     convergence_ratio,
     derive_seed,
     forecast_error_split,
-    hash64,
     mc_error_surface,
     mc_point_errors,
     red_noise_projector_bound,

@@ -214,10 +214,8 @@ def true_frequencies(spec: SignalSpec) -> Optional[np.ndarray]:
     return np.unique(np.round(freqs, 15))
 
 
-@lru_cache(maxsize=128)
 def exact_basis(spec: SignalSpec, L: int) -> np.ndarray:
-    """Orthonormal (L, r) basis of the noise-free trajectory space at window L;
-    cached and shared, so read-only.
+    """Orthonormal (L, r) basis of the noise-free trajectory space at window L.
 
     A series of rank r has its lagged windows in the span of its pole vectors
     (z^i), i = 0..L-1. Each conjugate pair z = rho e^{i omega} gives the real
@@ -250,6 +248,4 @@ def exact_basis(spec: SignalSpec, L: int) -> np.ndarray:
             columns += [scale * np.cos(omega * i), scale * np.sin(omega * i)]
         else:
             columns.append(scale * np.sign(z.real) ** i)
-    B = np.linalg.qr(np.column_stack(columns))[0]
-    B.flags.writeable = False
-    return B
+    return np.linalg.qr(np.column_stack(columns))[0]

@@ -88,36 +88,29 @@ def _splitmix64(x: int) -> int:
 
 
 def _mix(h: int, part) -> int:
-    """h with one more part of a hash64 mixed in."""
+    """h with one more part, an int or a string, mixed in."""
     if isinstance(part, str):
         for byte in part.encode("utf-8"):
             h = _splitmix64(h ^ byte)
     elif isinstance(part, (int, np.integer)):
         h = _splitmix64(h ^ (int(part) & _MASK64))
     else:
-        raise TypeError(f"hash64 accepts ints and strings, got {type(part)!r}")
-    return h
-
-
-def hash64(*parts) -> int:
-    """Stable 64-bit mix of integers and strings, platform independent."""
-    h = 0x243F6A8885A308D3
-    for part in parts:
-        h = _mix(h, part)
+        raise TypeError(f"seed parts are ints and strings, got {type(part)!r}")
     return h
 
 
 # typed, so a float seed equal to a cached int still raises TypeError
 @lru_cache(maxsize=64, typed=True)
 def _seed_prefix(master_seed: int, experiment_id: str) -> int:
-    return hash64(master_seed, experiment_id)
+    return _mix(_mix(0x243F6A8885A308D3, master_seed), experiment_id)
 
 
 def derive_seed(master_seed: int, experiment_id: str, rep_index: int) -> int:
     """Per-replication seed: counter-based, independent of evaluation order.
 
-    Equal to hash64(master_seed, experiment_id, rep_index); the hash of the
-    first two parts is cached, so a replication mixes in only its index.
+    The splitmix64 chain h = splitmix64(h ^ part) from 0x243F6A8885A308D3 over
+    the master seed, the id's UTF-8 bytes and the index (ints mod 2^64); the
+    prefix up to the id is cached, so a replication mixes in only its index.
     """
     return _mix(_seed_prefix(master_seed, experiment_id), rep_index)
 
@@ -351,14 +344,15 @@ def _cell_truth(spec: SignalSpec, L: int) -> _Truth:
         raise InvalidSpec(f"window {L} needs 2 <= L <= N-1, r < L, K >= r (N={spec.n}, r={r})")
     s_ext = signal_values(spec, np.arange(spec.n + 1))
     freqs = true_frequencies(spec)
-    s_ext.flags.writeable = freqs.flags.writeable = False
+    exact_u = exact_basis(spec, L)
+    s_ext.flags.writeable = freqs.flags.writeable = exact_u.flags.writeable = False
     return _Truth(
         spec=spec,
         L=L,
         rank=r,
         signal=s_ext[:-1],
         next_value=float(s_ext[-1]),
-        exact_u=exact_basis(spec, L),
+        exact_u=exact_u,
         freqs=freqs,
         log_b=float(np.log(spec.b)),
     )

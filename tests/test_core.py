@@ -66,6 +66,22 @@ def test_as_series_rejects_nan():
         sl.as_series([1.0, np.nan, 2.0])
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: sl.as_series(np.ones((3, 4))), "one-dimensional"),
+        (lambda: sl.decompose(np.ones(5)), "trajectory matrix must be 2-D"),
+        (lambda: sl.hankelize(np.ones(5)), "nonempty 2-D matrix"),
+        # N = 12, L = 10 leaves K = 3 columns
+        (lambda: sl.leading_triples(cosine(12), 10, 4), r"rank 4 exceeds min\(L, K\) = 3"),
+    ],
+    ids=["as_series-2d", "decompose-1d", "hankelize-1d", "leading_triples-rank-above-K"],
+)
+def test_inputs_of_the_wrong_shape_or_rank_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- decomposition ------------------------------------------------------------
 
 

@@ -211,6 +211,8 @@ def test_music_rejects_bad_inputs():
     noise = sl.noise_complement(B)
     with pytest.raises(EmptyNoiseBasis):
         sl.pseudospectrum_music(np.zeros((10, 0)))
+    with pytest.raises(EmptyNoiseBasis):
+        sl.root_music(np.zeros((10, 0)), 2)
     with pytest.raises(NonpositiveEigenvalue):
         sl.pseudospectrum_music(noise, eigenvalues=np.zeros(noise.shape[1]))
     with pytest.raises(ValueError, match="one eigenvalue per noise vector"):

@@ -84,6 +84,20 @@ def test_recurrent_forecast_divergence_guard():
         sl.recurrent_forecast([1.0], lrf, 200)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: sl.min_norm_lrf(2.0 * exact_cos_basis(100, 20)), "orthonormal basis"),
+        (lambda: sl.recurrent_forecast([1.0, 2.0, 3.0], np.array([0.3, 0.5]), 3),
+         "seed length 3 != recurrence order 2"),
+    ],
+    ids=["min_norm_lrf-not-orthonormal", "recurrent_forecast-seed-length"],
+)
+def test_recurrence_inputs_that_do_not_fit_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_recurrent_forecast_rejects_nonfinite_seed():
     lrf = np.array([0.3, 0.5])
     for bad in (np.nan, np.inf, -np.inf):

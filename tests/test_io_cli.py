@@ -49,6 +49,9 @@ def test_read_series_rejects_nan_and_garbage(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError):
         sio.read_series(p)
+    p.write_text("value\n")  # a header and no values
+    with pytest.raises(ValueError, match="no numeric values"):
+        sio.read_series(p)
 
 
 def test_series_round_trip_exact(tmp_path):
@@ -57,6 +60,13 @@ def test_series_round_trip_exact(tmp_path):
     p = tmp_path / "x.csv"
     sio.write_series(p, f)
     np.testing.assert_array_equal(sio.read_series(p), f)
+
+
+def test_write_series_rejects_an_unknown_format(tmp_path):
+    p = tmp_path / "x.xml"
+    with pytest.raises(ValueError, match="format must be 'csv' or 'json', got 'xml'"):
+        sio.write_series(p, np.ones(3), fmt="xml")
+    assert not p.exists()
 
 
 def test_eigentriples_round_trip_exact(tmp_path):
@@ -100,6 +110,8 @@ def test_eigentriples_from_dict_rejects_nonfinite_and_unknown_method():
     for method in ("svd", None, "Basic"):
         with pytest.raises(ValueError, match="method"):
             sio.eigentriples_from_dict({**good, "method": method})
+    with pytest.raises(ValueError, match="malformed eigentriple document: 'L'"):
+        sio.eigentriples_from_dict({k: v for k, v in good.items() if k != "L"})
     for key, bad in (("L", 10.9), ("L", 10.0), ("L", "10"), ("L", True), ("K", 31.5), ("K", 0)):
         with pytest.raises(ValueError, match=f"eigentriple {key} must be an integer"):
             sio.eigentriples_from_dict({**good, key: bad})
@@ -191,6 +203,19 @@ def test_cli_decompose_reconstruct_round_trip_bitwise(tmp_path):
         ["reconstruct", "--from-decomposition", str(ets_path), "--group", "1,2", "-o", str(via)]
     ) == 0
     assert direct.read_bytes() == via.read_bytes()
+
+
+def test_cli_decompose_of_zeros_keeps_no_triples(tmp_path):
+    # an all-zero series has no positive singular value, so no triple survives
+    src = tmp_path / "zeros.csv"
+    sio.write_series(src, np.zeros(30))
+    ets_path = tmp_path / "ets.json"
+    assert main(["decompose", "-i", str(src), "-L", "10", "-o", str(ets_path)]) == 0
+    doc = json.loads(ets_path.read_text())
+    assert doc["sigmas"] == [] and doc["u"] == [] and doc["v"] == []
+    out = tmp_path / "rec.csv"
+    assert main(["reconstruct", "--from-decomposition", str(ets_path), "-o", str(out)]) == 0
+    np.testing.assert_array_equal(sio.read_series(out), np.zeros(30))
 
 
 def test_cli_reconstruct_reads_a_decomposition_with_a_byte_order_mark(tmp_path):
@@ -552,12 +577,16 @@ def test_cli_simulate_reads_a_config_with_a_byte_order_mark(tmp_path):
         ({"noise": {"kind": "white", "sigma": 0.1}}, None, []),
         ({"functional": "damping"}, None, []),
         ({"functional": "projector", "eigentriples": 2}, None, []),
+        ("list", None, []),
+        ({"signal": {"kind": "damped_cos_wn"}}, None, []),
+        ({"signal": {"kind": "damped_cos_wn", "n": 60, "b": "x"}}, None, []),
     ],
     ids=["n-text", "n-fraction", "reps-0", "reps-text", "flag-reps-0", "window-404",
          "window-text", "eigentriples-500", "threads-text", "threads-0", "window-2-rank-2",
          "two-cos-window-3", "two-cos-window-98", "chirp-no-finite-rank",
          "forecast-eigentriples-L", "sigma-nan", "b-infinite", "noise-block",
-         "functional-damping", "projector-eigentriples"],
+         "functional-damping", "projector-eigentriples", "config-a-list", "signal-without-n",
+         "b-text"],
 )
 def test_cli_simulate_config_errors_exit_2(tmp_path, monkeypatch, capsys, change, env, flags):
     cfg = {
@@ -565,8 +594,8 @@ def test_cli_simulate_config_errors_exit_2(tmp_path, monkeypatch, capsys, change
         "windows": [20],
         "reps": 2,
         "functional": "reconstruction",
-        **change,
     }
+    cfg = [cfg] if change == "list" else {**cfg, **change}
     if env is not None:
         monkeypatch.setenv("SSA_LAB_THREADS", env)
     cfg_path = tmp_path / "cfg.json"

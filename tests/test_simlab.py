@@ -26,22 +26,20 @@ from ssalab.simlab import EXACT_SEPARABILITY_RMSE, pool_size
 WN = sl.SignalSpec("damped_cos_wn", n=100, b=1.0, sigma=0.1)
 
 
-def test_hash64_stable_values():
+def test_derive_seed_stable_values():
     # frozen so seed derivations never drift between releases
-    assert sl.hash64(0) == 3220344897584144929
-    assert sl.hash64(1, "x", 2) == 17035480611081050454
-    assert sl.hash64(1, "x", 2) != sl.hash64(1, "x", 3)
     assert sl.derive_seed(5, "exp", 7) == 5875374068217070649
-    with pytest.raises(TypeError):
-        sl.hash64(1.5)
+    assert sl.derive_seed(1, "x", 2) == 17035480611081050454
+    assert sl.derive_seed(1, "x", 2) != sl.derive_seed(1, "x", 3)
 
 
-def test_derive_seed_is_hash64_of_its_three_parts():
+def test_derive_seed_is_the_uncached_chain_of_its_three_parts():
     masters = [-(2**63), -1, 0, 1, 2**64, 2**64 + 5, np.int64(-7), np.uint64(2**63)]
     ids = ["", "x", "é:projector", "y" * 1000]
     indices = [0, 1, 2**63, 2**64 + 1, -3, np.int64(9), np.uint64(2**64 - 1)]
+    mix = simlab._mix
     for m, e, i in itertools.product(masters, ids, indices):
-        assert sl.derive_seed(m, e, i) == sl.hash64(m, e, i), (m, e, i)
+        assert sl.derive_seed(m, e, i) == mix(mix(mix(0x243F6A8885A308D3, m), e), i), (m, e, i)
     sl.derive_seed(1, "exp", 0)  # with (1, "exp") cached, an equal float seed still fails
     for bad in [(1, "exp", 1.5), (1.0, "exp", 0), (1, "exp", np.float64(2.0))]:
         with pytest.raises(TypeError):
@@ -209,6 +207,7 @@ _THREADED_RUNS = {
         lambda: sl.forecast_error_split(WN, 40.0, 50, 2),
         lambda: sl.forecast_error_split(WN, 40, 50.0, 2),
         lambda: sl.red_noise_projector_bound(sl.SignalSpec("damped_cos_rn", 100), 20.0),
+        lambda: sl.mc_error_surface(WN, [], 2, "projector"),
     ]
     + [lambda t=t, run=run: run(t) for run in _THREADED_RUNS.values() for t in _BAD_THREADS],
     ids=["point-negative", "point-N", "points-reps-0", "point-fraction", "surface-reps-float",
@@ -216,7 +215,7 @@ _THREADED_RUNS = {
          "surface-eigentriples-float", "surface-seed-text", "points-seed-bool",
          "convergence-seed-float", "split-seed-numpy-float", "split-vertical-exact-subspace",
          "points-window-float", "split-lrf-window-float", "split-rec-window-float",
-         "bound-window-float"]
+         "bound-window-float", "surface-no-windows"]
     + [f"{name}-threads-{t!r}" for name in _THREADED_RUNS for t in _BAD_THREADS],
 )
 def test_bad_inputs_fail_before_any_replication(monkeypatch, run):
